@@ -16,10 +16,14 @@ from typing import Callable
 from .activitypub import validate_actor_document
 from .config import Config, load_config
 from .errors import BindFailed, MalformedHandle, MothError
+from .http_api import _error
 from .httpsig import generate_rsa_keypair
 from .identity import parse_acct
 from .instance import InstanceNode
-from .transport import HttpRequest, Transport, TransportError, UrllibTransport
+from .transport import HttpRequest, HttpResponse, Transport, TransportError, UrllibTransport
+
+# Larger request bodies get 413 before any of the body is read.
+MAX_BODY_BYTES = 1 << 20
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,6 +78,13 @@ def _load(args: argparse.Namespace) -> Config:
 # --- serve -----------------------------------------------------------------
 
 
+def _refuse_body(status: int, reason: str, detail: str) -> HttpResponse:
+    response = _error(status, reason, detail)
+    # The body stays unread, so the connection cannot carry another request.
+    response.headers["Connection"] = "close"
+    return response
+
+
 def _handler_for(node: InstanceNode) -> type[BaseHTTPRequestHandler]:
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
@@ -81,8 +92,13 @@ def _handler_for(node: InstanceNode) -> type[BaseHTTPRequestHandler]:
         def log_message(self, format: str, *args) -> None:
             pass
 
-        def _dispatch(self) -> None:
-            length = int(self.headers.get("Content-Length") or 0)
+        def _read_and_handle(self) -> HttpResponse:
+            text = (self.headers.get("Content-Length") or "0").strip()
+            if not (text.isascii() and text.isdigit()):
+                return _refuse_body(400, "BadContentLength", f"Content-Length {text!r}")
+            length = int(text)
+            if length > MAX_BODY_BYTES:
+                return _refuse_body(413, "BodyTooLarge", f"{length} > {MAX_BODY_BYTES} bytes")
             body = self.rfile.read(length) if length else b""
             host = self.headers.get("Host") or node.domain
             scheme = "http" if node.config.test_mode else "https"
@@ -92,8 +108,11 @@ def _handler_for(node: InstanceNode) -> type[BaseHTTPRequestHandler]:
                 headers={k: v for k, v in self.headers.items()},
                 body=body,
             )
-            response = node.handle_http(request)
-            if response.status in (401, 400, 403) and response.body:
+            return node.handle_http(request)
+
+        def _dispatch(self) -> None:
+            response = self._read_and_handle()
+            if response.status in (401, 400, 403, 413) and response.body:
                 # The one place rejections would otherwise be invisible.
                 sys.stderr.write(
                     f"rejected {self.command} {self.path}: "

@@ -73,10 +73,6 @@ class TombstonedActor(MothError):
     """Activity from (or status authored by) a deleted actor."""
 
 
-class KeyUnavailable(MothError):
-    """No private key held for the requested key id."""
-
-
 class SignatureError(MothError):
     """Base for HTTP signature verification failures.
 

@@ -1,29 +1,25 @@
 """Persistence for accounts, statuses, follows, timelines, peers, keys, tasks.
 
 Two backends share one implementation: MemoryStore holds everything in
-indexed dicts under a single lock, and FileStore layers write-through JSON
-persistence on top so a process kill never loses a committed record. The two
-are observationally equivalent; FileStore only adds durability.
+indexed dicts under a single lock, and FileStore persists each change through
+the one ``_write`` hook into a SQLite table, so a process kill never loses a
+committed record. The two are observationally equivalent; FileStore only adds
+durability.
 
 File layout under the root path:
-    counters.json             id sequences
-    accounts/{id}.json        one account per file
-    statuses/{id}.json
-    follows/{id}.json
-    interactions/{id}.json
-    tasks/{id}.json
-    timelines.jsonl           append-only; rewritten on deletes
-    seen.log                  append-only activity ids
-    tombstones.log            append-only actor URIs
-    peers.json                domain -> inbox hint
-    tokens.json               account id -> bearer token
-    keys/{user}.pem,.pub.pem  PEM keypairs (private file mode 0600)
+    store.sqlite3 (+ -wal, -shm)  records(collection, key, body): one JSON body
+                                  per account, status, follow, interaction,
+                                  task, timeline entry, peer, seen activity id,
+                                  tombstone, token and id sequence
+    keys/{user}.pem,.pub.pem      PEM keypairs (private file mode 0600)
 """
 from __future__ import annotations
 
 import json
 import os
+import sqlite3
 import threading
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterable
@@ -44,128 +40,30 @@ def _dt_from_text(text: str) -> datetime:
 
 
 def account_record(account: Account) -> dict[str, Any]:
-    return {
-        "id": account.id,
-        "username": account.username,
-        "acct": account.acct,
-        "display_name": account.display_name,
-        "actor_uri": account.actor_uri,
-        "inbox_uri": account.inbox_uri,
-        "public_key_pem": account.public_key_pem,
-        "created_at": _dt_to_text(account.created_at),
-    }
+    return {**asdict(account), "created_at": _dt_to_text(account.created_at)}
 
 
 def account_from_record(data: dict[str, Any]) -> Account:
-    return Account(
-        id=data["id"],
-        username=data["username"],
-        acct=data["acct"],
-        display_name=data["display_name"],
-        actor_uri=data["actor_uri"],
-        inbox_uri=data["inbox_uri"],
-        public_key_pem=data["public_key_pem"],
-        created_at=_dt_from_text(data["created_at"]),
-    )
+    return Account(**{**data, "created_at": _dt_from_text(data["created_at"])})
 
 
 def status_record(status: Status) -> dict[str, Any]:
     return {
-        "id": status.id,
-        "uri": status.uri,
-        "content": status.content,
-        "account_id": status.account_id,
+        **asdict(status),
         "visibility": status.visibility.value,
-        "mentions": [{"acct": m.acct, "actor_uri": m.actor_uri} for m in status.mentions],
-        "tags": list(status.tags),
         "created_at": _dt_to_text(status.created_at),
-        "in_reply_to_id": status.in_reply_to_id,
     }
 
 
 def status_from_record(data: dict[str, Any]) -> Status:
     return Status(
-        id=data["id"],
-        uri=data["uri"],
-        content=data["content"],
-        account_id=data["account_id"],
-        visibility=Visibility(data["visibility"]),
-        mentions=tuple(Mention(m["acct"], m["actor_uri"]) for m in data["mentions"]),
-        tags=tuple(data["tags"]),
-        created_at=_dt_from_text(data["created_at"]),
-        in_reply_to_id=data.get("in_reply_to_id"),
-    )
-
-
-def follow_record(relation: FollowRelation) -> dict[str, Any]:
-    return {
-        "id": relation.id,
-        "follower_actor_uri": relation.follower_actor_uri,
-        "followee_account_id": relation.followee_account_id,
-        "state": relation.state,
-        "follow_activity_id": relation.follow_activity_id,
-        "created_at": relation.created_at,
-    }
-
-
-def follow_from_record(data: dict[str, Any]) -> FollowRelation:
-    return FollowRelation(
-        id=data["id"],
-        follower_actor_uri=data["follower_actor_uri"],
-        followee_account_id=data["followee_account_id"],
-        state=data["state"],
-        follow_activity_id=data["follow_activity_id"],
-        created_at=data["created_at"],
-    )
-
-
-def interaction_record(item: Interaction) -> dict[str, Any]:
-    return {
-        "id": item.id,
-        "kind": item.kind,
-        "actor_uri": item.actor_uri,
-        "object_uri": item.object_uri,
-        "activity_id": item.activity_id,
-        "created_at": item.created_at,
-    }
-
-
-def interaction_from_record(data: dict[str, Any]) -> Interaction:
-    return Interaction(
-        id=data["id"],
-        kind=data["kind"],
-        actor_uri=data["actor_uri"],
-        object_uri=data["object_uri"],
-        activity_id=data["activity_id"],
-        created_at=data["created_at"],
-    )
-
-
-def task_record(task: DeliveryTask) -> dict[str, Any]:
-    return {
-        "task_id": task.task_id,
-        "activity_body": task.activity_body,
-        "target_inbox": task.target_inbox,
-        "key_id": task.key_id,
-        "created_at": task.created_at,
-        "next_attempt_at": task.next_attempt_at,
-        "attempts": task.attempts,
-        "terminal": task.terminal,
-        "result": task.result,
-    }
-
-
-def task_from_record(data: dict[str, Any]) -> DeliveryTask:
-    return DeliveryTask(
-        task_id=data["task_id"],
-        activity_body=data["activity_body"],
-        target_inbox=data["target_inbox"],
-        key_id=data["key_id"],
-        created_at=data["created_at"],
-        next_attempt_at=data["next_attempt_at"],
-        attempts=data["attempts"],
-        terminal=data["terminal"],
-        result=data.get("result"),
+        **{
+            **data,
+            "visibility": Visibility(data["visibility"]),
+            "mentions": tuple(Mention(**m) for m in data["mentions"]),
+            "tags": tuple(data["tags"]),
+            "created_at": _dt_from_text(data["created_at"]),
+        }
     )
 
 
@@ -202,7 +100,7 @@ class MemoryStore:
         with self._lock:
             value = self._counters.get(name, 0) + 1
             self._counters[name] = value
-            self._persist_counters()
+            self._write("counters", name, (name, value))
             return value
 
     def next_status_id(self, now: float) -> int:
@@ -212,7 +110,7 @@ class MemoryStore:
             last = self._counters.get("status_id", 0)
             value = max(candidate, last + 1)
             self._counters["status_id"] = value
-            self._persist_counters()
+            self._write("counters", "status_id", ("status_id", value))
             return value
 
     # --- accounts ------------------------------------------------------------
@@ -245,9 +143,10 @@ class MemoryStore:
                     created_at=account.created_at,
                 )
             assert stored.id is not None
-            self._accounts[stored.id] = stored
-            self._account_by_uri[stored.actor_uri] = stored.id
-            self._persist_account(stored)
+            if self._accounts.get(stored.id) != stored:
+                self._accounts[stored.id] = stored
+                self._account_by_uri[stored.actor_uri] = stored.id
+                self._write("accounts", stored.id, stored)
             return stored
 
     def get_account(self, account_id: int) -> Account | None:
@@ -304,7 +203,7 @@ class MemoryStore:
                 self._status_by_uri[stored.uri] = status_id
             for tag in stored.tags:
                 self._tag_index.setdefault(tag, []).append(status_id)
-            self._persist_status(stored)
+            self._write("statuses", status_id, stored)
             return stored
 
     def get_status(self, status_id: int) -> Status | None:
@@ -329,7 +228,7 @@ class MemoryStore:
             if status_id in timeline:
                 return False
             timeline[status_id] = now
-            self._persist_timeline_append(owner_id, status_id, now)
+            self._write("timelines", (owner_id, status_id), (owner_id, status_id, now))
             return True
 
     def _permitted(self, owner: Account, status: Status) -> bool:
@@ -425,7 +324,7 @@ class MemoryStore:
             self._follow_by_pair[pair] = relation.id
             if relation.follow_activity_id:
                 self._follow_by_activity[relation.follow_activity_id] = relation.id
-            self._persist_follow(relation)
+            self._write("follows", relation.id, relation)
             return relation
 
     def set_follow_state(self, follow_id: int, state: str) -> FollowRelation | None:
@@ -442,7 +341,7 @@ class MemoryStore:
                 created_at=relation.created_at,
             )
             self._follows[follow_id] = updated
-            self._persist_follow(updated)
+            self._write("follows", follow_id, updated)
             return updated
 
     def get_follow(self, follower_actor_uri: str, followee_account_id: int) -> FollowRelation | None:
@@ -464,7 +363,7 @@ class MemoryStore:
                 (relation.follower_actor_uri, relation.followee_account_id), None
             )
             self._follow_by_activity.pop(relation.follow_activity_id, None)
-            self._persist_follow_removal(follow_id)
+            self._write("follows", follow_id, None)
             return True
 
     def followers_of(self, account_id: int, state: str | None = "accepted") -> list[FollowRelation]:
@@ -505,7 +404,7 @@ class MemoryStore:
             self._interaction_by_key[key] = item.id
             if activity_id:
                 self._interaction_by_activity[activity_id] = item.id
-            self._persist_interaction(item)
+            self._write("interactions", item.id, item)
             return True
 
     def restore_interaction(self, item: Interaction) -> None:
@@ -514,7 +413,7 @@ class MemoryStore:
             self._interaction_by_key[(item.kind, item.actor_uri, item.object_uri)] = item.id
             if item.activity_id:
                 self._interaction_by_activity[item.activity_id] = item.id
-            self._persist_interaction(item)
+            self._write("interactions", item.id, item)
 
     def remove_interaction_by_activity(self, activity_id: str) -> Interaction | None:
         with self._lock:
@@ -524,7 +423,7 @@ class MemoryStore:
             item = self._interactions.pop(item_id)
             self._interaction_by_activity.pop(activity_id, None)
             self._interaction_by_key.pop((item.kind, item.actor_uri, item.object_uri), None)
-            self._persist_interaction_removal(item_id)
+            self._write("interactions", item_id, None)
             return item
 
     def interactions_for(self, object_uri: str) -> list[Interaction]:
@@ -536,9 +435,10 @@ class MemoryStore:
 
     def record_peer(self, domain: str, inbox_hint: str | None = None) -> None:
         with self._lock:
-            if inbox_hint is not None or domain not in self._peers:
-                self._peers[domain] = inbox_hint or self._peers.get(domain)
-            self._persist_peers()
+            hint = inbox_hint or self._peers.get(domain)
+            if domain not in self._peers or self._peers[domain] != hint:
+                self._peers[domain] = hint
+                self._write("peers", domain, (domain, hint))
 
     def list_peers(self) -> list[tuple[str, str | None]]:
         with self._lock:
@@ -549,14 +449,14 @@ class MemoryStore:
             if activity_id in self._seen:
                 return False
             self._seen.add(activity_id)
-            self._persist_seen_append(activity_id)
+            self._write("seen", activity_id, activity_id)
             return True
 
     def add_tombstone(self, actor_uri: str) -> None:
         with self._lock:
             if actor_uri not in self._tombstones:
                 self._tombstones.add(actor_uri)
-                self._persist_tombstone_append(actor_uri)
+                self._write("tombstones", actor_uri, actor_uri)
 
     def is_tombstoned(self, actor_uri: str) -> bool:
         with self._lock:
@@ -567,7 +467,7 @@ class MemoryStore:
     def save_keypair(self, username: str, private_pem: str, public_pem: str) -> None:
         with self._lock:
             self._keys[username] = (private_pem, public_pem)
-            self._persist_keypair(username, private_pem, public_pem)
+            self._write("keys", username, (private_pem, public_pem))
 
     def keypair(self, username: str) -> tuple[str, str] | None:
         with self._lock:
@@ -580,7 +480,7 @@ class MemoryStore:
                 self._tokens.pop(previous, None)
             self._tokens[token] = account_id
             self._token_by_account[account_id] = token
-            self._persist_tokens()
+            self._write("tokens", account_id, (account_id, token))
 
     def account_id_for_token(self, token: str) -> int | None:
         with self._lock:
@@ -606,8 +506,9 @@ class MemoryStore:
             account_id = self._account_by_uri.get(actor_uri)
             if account_id is None:
                 return report
-            account = self._accounts.pop(account_id)
+            self._accounts.pop(account_id)
             self._account_by_uri.pop(actor_uri, None)
+            self._write("accounts", account_id, None)
             report["account"] = 1
 
             dead_status_ids = [
@@ -617,6 +518,7 @@ class MemoryStore:
             dead_status_uris = set()
             for status_id in dead_status_ids:
                 status = self._statuses.pop(status_id)
+                self._write("statuses", status_id, None)
                 if status.uri:
                     self._status_by_uri.pop(status.uri, None)
                     dead_status_uris.add(status.uri)
@@ -629,12 +531,14 @@ class MemoryStore:
             report["statuses"] = len(dead_status_ids)
 
             # Their own timeline, plus their statuses in everyone else's.
-            own = self._timelines.pop(account_id, {})
-            report["timeline_entries"] += len(own)
+            for status_id in self._timelines.pop(account_id, {}):
+                self._write("timelines", (account_id, status_id), None)
+                report["timeline_entries"] += 1
             dead = set(dead_status_ids)
-            for timeline in self._timelines.values():
+            for owner_id, timeline in self._timelines.items():
                 for status_id in dead.intersection(timeline):
                     timeline.pop(status_id)
+                    self._write("timelines", (owner_id, status_id), None)
                     report["timeline_entries"] += 1
 
             dead_follow_ids = [
@@ -644,6 +548,7 @@ class MemoryStore:
             ]
             for follow_id in dead_follow_ids:
                 relation = self._follows.pop(follow_id)
+                self._write("follows", follow_id, None)
                 self._follow_by_pair.pop(
                     (relation.follower_actor_uri, relation.followee_account_id), None
                 )
@@ -657,6 +562,7 @@ class MemoryStore:
             ]
             for item_id in dead_interaction_ids:
                 item = self._interactions.pop(item_id)
+                self._write("interactions", item_id, None)
                 self._interaction_by_key.pop((item.kind, item.actor_uri, item.object_uri), None)
                 if item.activity_id:
                     self._interaction_by_activity.pop(item.activity_id, None)
@@ -665,12 +571,11 @@ class MemoryStore:
             token = self._token_by_account.pop(account_id, None)
             if token is not None:
                 self._tokens.pop(token, None)
+                self._write("tokens", account_id, None)
                 report["tokens"] = 1
 
             # The keypair stays: the delete announcement must still be signed
             # after the account row is gone.
-            del account
-            self._persist_full_resync()
             return report
 
     # --- delivery tasks --------------------------------------------------------------
@@ -688,13 +593,13 @@ class MemoryStore:
                 next_attempt_at=now,
             )
             self._tasks[task.task_id] = task
-            self._persist_task(task)
+            self._write("tasks", task.task_id, task)
             return task
 
     def save_task(self, task: DeliveryTask) -> None:
         with self._lock:
             self._tasks[task.task_id] = task
-            self._persist_task(task)
+            self._write("tasks", task.task_id, task)
 
     def due_tasks(self, now: float) -> list[DeliveryTask]:
         with self._lock:
@@ -735,9 +640,9 @@ class MemoryStore:
             data = {
                 "accounts": {str(k): account_record(v) for k, v in sorted(self._accounts.items())},
                 "statuses": {str(k): status_record(v) for k, v in sorted(self._statuses.items())},
-                "follows": {str(k): follow_record(v) for k, v in sorted(self._follows.items())},
+                "follows": {str(k): asdict(v) for k, v in sorted(self._follows.items())},
                 "interactions": {
-                    str(k): interaction_record(v) for k, v in sorted(self._interactions.items())
+                    str(k): asdict(v) for k, v in sorted(self._interactions.items())
                 },
                 "timelines": timelines,
                 "tag_index": {k: sorted(v) for k, v in sorted(self._tag_index.items())},
@@ -746,7 +651,7 @@ class MemoryStore:
                 "tombstones": sorted(self._tombstones),
                 "tokens": {str(k): v for k, v in sorted(self._token_by_account.items())},
                 "keys": {k: list(v) for k, v in sorted(self._keys.items())},
-                "tasks": {str(k): task_record(v) for k, v in sorted(self._tasks.items())},
+                "tasks": {str(k): asdict(v) for k, v in sorted(self._tasks.items())},
                 "counters": dict(sorted(self._counters.items())),
             }
             return json.dumps(data, sort_keys=True, ensure_ascii=False).encode("utf-8")
@@ -754,138 +659,160 @@ class MemoryStore:
     def close(self) -> None:
         pass
 
-    # --- persistence hooks (no-ops in memory) ----------------------------------------
+    # --- persistence hook (a no-op in memory) ------------------------------------------
 
-    def _persist_counters(self) -> None: ...
-    def _persist_account(self, account: Account) -> None: ...
-    def _persist_status(self, status: Status) -> None: ...
-    def _persist_timeline_append(self, owner_id: int, status_id: int, at: float) -> None: ...
-    def _persist_follow(self, relation: FollowRelation) -> None: ...
-    def _persist_follow_removal(self, follow_id: int) -> None: ...
-    def _persist_interaction(self, item: Interaction) -> None: ...
-    def _persist_interaction_removal(self, item_id: int) -> None: ...
-    def _persist_peers(self) -> None: ...
-    def _persist_seen_append(self, activity_id: str) -> None: ...
-    def _persist_tombstone_append(self, actor_uri: str) -> None: ...
-    def _persist_keypair(self, username: str, private_pem: str, public_pem: str) -> None: ...
-    def _persist_tokens(self) -> None: ...
-    def _persist_task(self, task: DeliveryTask) -> None: ...
-    def _persist_full_resync(self) -> None: ...
+    def _write(self, collection: str, key: Any, value: Any) -> None:
+        """Record that ``collection[key]`` became ``value``; ``None`` deletes it.
+
+        Called under the lock after the in-memory change, with the domain
+        object itself, so only a persistent backend pays for serializing it.
+        """
 
 
-def _write_atomic(path: Path, data: bytes, mode: int | None = None) -> None:
+def _write_atomic(path: Path, data: bytes, mode: int) -> None:
+    """Replace ``path`` with ``data``; the file never exists with wider permissions."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    if mode is not None:
-        os.chmod(tmp, mode)
+    tmp.unlink(missing_ok=True)
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+    with os.fdopen(fd, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
     os.replace(tmp, path)
 
 
-def _write_json(path: Path, payload: Any) -> None:
-    _write_atomic(path, json.dumps(payload, ensure_ascii=False, indent=1).encode("utf-8"))
+# A commit is on disk before the call that made it returns.
+JOURNAL_MODE = "WAL"
+SYNCHRONOUS = "FULL"
+
+_ENCODERS = {
+    "accounts": account_record,
+    "statuses": status_record,
+    "follows": asdict,
+    "interactions": asdict,
+    "tasks": asdict,
+}
+
+
+class _CommitLock:
+    """The store's re-entrant lock; the outermost release commits the open transaction.
+
+    Every mutating call holds the lock for its whole run, so each outermost
+    call that wrote anything is one transaction, and memory and disk agree
+    whenever the lock is free.
+    """
+
+    def __init__(self, lock: threading.RLock, db: sqlite3.Connection) -> None:
+        self._lock = lock
+        self._db = db
+        self._depth = 0
+
+    def __enter__(self) -> None:
+        self._lock.acquire()
+        self._depth += 1
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self._depth -= 1
+        try:
+            if self._depth == 0 and self._db.in_transaction:
+                self._db.execute("COMMIT")
+        except sqlite3.DatabaseError as exc:
+            raise StorageUnavailable(f"commit failed: {exc}") from exc
+        finally:
+            self._lock.release()
+
+    def close(self) -> None:
+        with self._lock:
+            self._db.close()
 
 
 class FileStore(MemoryStore):
-    """Write-through file backend; every commit hits disk before returning."""
-
-    _DIRS = ("accounts", "statuses", "follows", "interactions", "tasks", "keys")
+    """MemoryStore over one SQLite table; every commit is fsynced before returning."""
 
     def __init__(self, root: str | os.PathLike[str]) -> None:
         super().__init__()
         self.root = Path(root)
+        path = self.root / "store.sqlite3"
+        if (self.root / "counters.json").exists() and not path.exists():
+            raise StorageUnavailable(
+                f"{root} holds the old per-record JSON layout (counters.json), "
+                f"not {path.name}; it cannot be opened"
+            )
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            for name in self._DIRS:
-                (self.root / name).mkdir(exist_ok=True)
+            (self.root / "keys").mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise StorageUnavailable(f"cannot prepare storage root {root}: {exc}") from exc
-        self._load()
-
-    # --- loading ---------------------------------------------------------------
-
-    def _read_json(self, path: Path) -> Any | None:
         try:
-            return json.loads(path.read_text("utf-8"))
-        except FileNotFoundError:
-            return None
-        except ValueError as exc:
-            raise StorageUnavailable(f"corrupt store file {path}: {exc}") from exc
+            self._db = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
+        except sqlite3.DatabaseError as exc:
+            raise StorageUnavailable(f"cannot open {path}: {exc}") from exc
+        try:
+            self._db.execute(f"PRAGMA journal_mode={JOURNAL_MODE}")
+            self._db.execute(f"PRAGMA synchronous={SYNCHRONOUS}")
+            self._db.execute(
+                "CREATE TABLE IF NOT EXISTS records (collection TEXT, key TEXT, body TEXT,"
+                " PRIMARY KEY (collection, key)) WITHOUT ROWID"
+            )
+            self._load(self._db.execute("SELECT collection, body FROM records"))
+        except sqlite3.DatabaseError as exc:
+            self._db.close()
+            raise StorageUnavailable(f"cannot read {path}: {exc}") from exc
+        self._load_keys()
+        self._lock = _CommitLock(self._lock, self._db)
 
-    def _records_in(self, directory: Path) -> Iterable[Any]:
-        for path in sorted(directory.glob("*.json")):
-            record = self._read_json(path)
-            if record is not None:
-                yield record
+    def _load(self, rows: Iterable[tuple[str, str]]) -> None:
+        for collection, body in rows:
+            data = json.loads(body)
+            match collection:
+                case "accounts":
+                    account = account_from_record(data)
+                    self._accounts[account.id] = account
+                    self._account_by_uri[account.actor_uri] = account.id
+                case "statuses":
+                    status = status_from_record(data)
+                    self._statuses[status.id] = status
+                    if status.uri:
+                        self._status_by_uri[status.uri] = status.id
+                    for tag in status.tags:
+                        self._tag_index.setdefault(tag, []).append(status.id)
+                case "follows":
+                    relation = FollowRelation(**data)
+                    self._follows[relation.id] = relation
+                    self._follow_by_pair[
+                        (relation.follower_actor_uri, relation.followee_account_id)
+                    ] = relation.id
+                    if relation.follow_activity_id:
+                        self._follow_by_activity[relation.follow_activity_id] = relation.id
+                case "interactions":
+                    item = Interaction(**data)
+                    self._interactions[item.id] = item
+                    self._interaction_by_key[(item.kind, item.actor_uri, item.object_uri)] = item.id
+                    if item.activity_id:
+                        self._interaction_by_activity[item.activity_id] = item.id
+                case "tasks":
+                    task = DeliveryTask(**data)
+                    self._tasks[task.task_id] = task
+                case "timelines":
+                    owner_id, status_id, at = data
+                    self._timelines.setdefault(owner_id, {})[status_id] = at
+                case "peers":
+                    domain, hint = data
+                    self._peers[domain] = hint
+                case "seen":
+                    self._seen.add(data)
+                case "tombstones":
+                    self._tombstones.add(data)
+                case "tokens":
+                    account_id, token = data
+                    self._tokens[token] = account_id
+                    self._token_by_account[account_id] = token
+                case "counters":
+                    name, value = data
+                    self._counters[name] = value
+                case _:
+                    raise StorageUnavailable(f"unknown collection {collection!r} in store")
 
-    def _load(self) -> None:
-        counters = self._read_json(self.root / "counters.json")
-        if counters:
-            self._counters.update(counters)
-
-        for record in self._records_in(self.root / "accounts"):
-            account = account_from_record(record)
-            assert account.id is not None
-            self._accounts[account.id] = account
-            self._account_by_uri[account.actor_uri] = account.id
-
-        for record in self._records_in(self.root / "statuses"):
-            status = status_from_record(record)
-            assert status.id is not None
-            self._statuses[status.id] = status
-            if status.uri:
-                self._status_by_uri[status.uri] = status.id
-        for status_id in sorted(self._statuses):
-            for tag in self._statuses[status_id].tags:
-                self._tag_index.setdefault(tag, []).append(status_id)
-
-        for record in self._records_in(self.root / "follows"):
-            relation = follow_from_record(record)
-            self._follows[relation.id] = relation
-            self._follow_by_pair[
-                (relation.follower_actor_uri, relation.followee_account_id)
-            ] = relation.id
-            if relation.follow_activity_id:
-                self._follow_by_activity[relation.follow_activity_id] = relation.id
-
-        for record in self._records_in(self.root / "interactions"):
-            item = interaction_from_record(record)
-            self._interactions[item.id] = item
-            self._interaction_by_key[(item.kind, item.actor_uri, item.object_uri)] = item.id
-            if item.activity_id:
-                self._interaction_by_activity[item.activity_id] = item.id
-
-        for record in self._records_in(self.root / "tasks"):
-            task = task_from_record(record)
-            self._tasks[task.task_id] = task
-
-        timelines = self.root / "timelines.jsonl"
-        if timelines.exists():
-            for line in timelines.read_text("utf-8").splitlines():
-                if not line.strip():
-                    continue
-                entry = json.loads(line)
-                self._timelines.setdefault(entry["owner"], {}).setdefault(
-                    entry["status"], entry["at"]
-                )
-
-        peers = self._read_json(self.root / "peers.json")
-        if peers:
-            self._peers.update(peers)
-
-        tokens = self._read_json(self.root / "tokens.json")
-        if tokens:
-            for account_id_text, token in tokens.items():
-                account_id = int(account_id_text)
-                self._tokens[token] = account_id
-                self._token_by_account[account_id] = token
-
-        for name, collection in (("seen.log", self._seen), ("tombstones.log", self._tombstones)):
-            path = self.root / name
-            if path.exists():
-                for line in path.read_text("utf-8").splitlines():
-                    if line:
-                        collection.add(line)
-
+    def _load_keys(self) -> None:
         keys_dir = self.root / "keys"
         for private_path in sorted(keys_dir.glob("*.pem")):
             if private_path.name.endswith(".pub.pem"):
@@ -898,88 +825,31 @@ class FileStore(MemoryStore):
                     public_path.read_text("utf-8"),
                 )
 
-    # --- write-through hooks ------------------------------------------------------
+    def _write(self, collection: str, key: Any, value: Any) -> None:
+        if collection == "keys":
+            private_pem, public_pem = value
+            _write_atomic(self.root / "keys" / f"{key}.pem", private_pem.encode("ascii"), 0o600)
+            _write_atomic(self.root / "keys" / f"{key}.pub.pem", public_pem.encode("ascii"), 0o644)
+            return
+        try:
+            if not self._db.in_transaction:
+                self._db.execute("BEGIN")
+            if value is None:
+                self._db.execute(
+                    "DELETE FROM records WHERE collection = ? AND key = ?", (collection, str(key))
+                )
+            else:
+                encode = _ENCODERS.get(collection)
+                body = json.dumps(encode(value) if encode else value, ensure_ascii=False)
+                self._db.execute(
+                    "INSERT OR REPLACE INTO records VALUES (?, ?, ?)",
+                    (collection, str(key), body),
+                )
+        except sqlite3.DatabaseError as exc:
+            raise StorageUnavailable(f"cannot write {collection} {key!r}: {exc}") from exc
 
-    def _persist_counters(self) -> None:
-        _write_json(self.root / "counters.json", self._counters)
-
-    def _persist_account(self, account: Account) -> None:
-        _write_json(self.root / "accounts" / f"{account.id}.json", account_record(account))
-
-    def _persist_status(self, status: Status) -> None:
-        _write_json(self.root / "statuses" / f"{status.id}.json", status_record(status))
-
-    def _persist_timeline_append(self, owner_id: int, status_id: int, at: float) -> None:
-        line = json.dumps({"owner": owner_id, "status": status_id, "at": at})
-        with open(self.root / "timelines.jsonl", "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-
-    def _persist_follow(self, relation: FollowRelation) -> None:
-        _write_json(self.root / "follows" / f"{relation.id}.json", follow_record(relation))
-
-    def _persist_follow_removal(self, follow_id: int) -> None:
-        (self.root / "follows" / f"{follow_id}.json").unlink(missing_ok=True)
-
-    def _persist_interaction(self, item: Interaction) -> None:
-        _write_json(self.root / "interactions" / f"{item.id}.json", interaction_record(item))
-
-    def _persist_interaction_removal(self, item_id: int) -> None:
-        (self.root / "interactions" / f"{item_id}.json").unlink(missing_ok=True)
-
-    def _persist_peers(self) -> None:
-        _write_json(self.root / "peers.json", dict(sorted(self._peers.items())))
-
-    def _persist_seen_append(self, activity_id: str) -> None:
-        with open(self.root / "seen.log", "a", encoding="utf-8") as handle:
-            handle.write(activity_id + "\n")
-            handle.flush()
-
-    def _persist_tombstone_append(self, actor_uri: str) -> None:
-        with open(self.root / "tombstones.log", "a", encoding="utf-8") as handle:
-            handle.write(actor_uri + "\n")
-            handle.flush()
-
-    def _persist_keypair(self, username: str, private_pem: str, public_pem: str) -> None:
-        private_path = self.root / "keys" / f"{username}.pem"
-        _write_atomic(private_path, private_pem.encode("ascii"), mode=0o600)
-        _write_atomic(self.root / "keys" / f"{username}.pub.pem", public_pem.encode("ascii"))
-
-    def _persist_tokens(self) -> None:
-        payload = {str(k): v for k, v in sorted(self._token_by_account.items())}
-        _write_json(self.root / "tokens.json", payload)
-
-    def _persist_task(self, task: DeliveryTask) -> None:
-        _write_json(self.root / "tasks" / f"{task.task_id}.json", task_record(task))
-
-    def _persist_full_resync(self) -> None:
-        """Rewrite every collection a deletion may have touched."""
-        self._resync_dir("accounts", {a.id: account_record(a) for a in self._accounts.values()})
-        self._resync_dir("statuses", {s.id: status_record(s) for s in self._statuses.values()})
-        self._resync_dir("follows", {r.id: follow_record(r) for r in self._follows.values()})
-        self._resync_dir(
-            "interactions", {i.id: interaction_record(i) for i in self._interactions.values()}
-        )
-        lines = [
-            json.dumps({"owner": owner, "status": status_id, "at": at})
-            for owner, entries in sorted(self._timelines.items())
-            for status_id, at in sorted(entries.items())
-        ]
-        _write_atomic(
-            self.root / "timelines.jsonl",
-            ("\n".join(lines) + "\n" if lines else "").encode("utf-8"),
-        )
-        self._persist_tokens()
-        self._persist_peers()
-
-    def _resync_dir(self, name: str, wanted: dict[Any, Any]) -> None:
-        directory = self.root / name
-        keep = {f"{record_id}.json" for record_id in wanted}
-        for path in directory.glob("*.json"):
-            if path.name not in keep:
-                path.unlink(missing_ok=True)
-        for record_id, record in wanted.items():
-            _write_json(directory / f"{record_id}.json", record)
+    def close(self) -> None:
+        self._lock.close()
 
 
 def open_store(backend: str, path: str | None = None) -> MemoryStore:

@@ -349,6 +349,24 @@ def _wait_for(
             time.sleep(0.1)
 
 
+def _raw_status_line(port: int, content_length: str) -> str:
+    """POST with the given Content-Length and no body; the status line of the reply.
+
+    Reads until the server closes the connection, so a server that keeps it
+    open after refusing the body fails the test by timing out.
+    """
+    request = (
+        "POST /users/alice/inbox HTTP/1.1\r\nHost: serve.test\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
+    ).encode("ascii")
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as conn:
+        conn.sendall(request)
+        reply = b""
+        while chunk := conn.recv(4096):
+            reply += chunk
+    return reply.split(b"\r\n", 1)[0].decode("ascii")
+
+
 class TestServe:
     def test_bind_failure_is_reported(self):
         with socket.socket() as blocker:
@@ -436,6 +454,10 @@ class TestServe:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(f"{base}/definitely/not/here", timeout=5)
             assert excinfo.value.code == 404
+
+            for content_length, status in (("abc", 400), ("-5", 400), ("99999999999", 413)):
+                line = _raw_status_line(port, content_length)
+                assert line.startswith(f"HTTP/1.1 {status} "), (content_length, line)
 
             process.send_signal(signal.SIGTERM)
             stdout, stderr = process.communicate(timeout=15)

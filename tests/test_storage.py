@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import sys
 import threading
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
@@ -563,3 +565,113 @@ def test_snapshot_is_deterministic_json(store):
     data = json.loads(store.snapshot())
     assert store.snapshot() == store.snapshot()
     assert set(data) >= {"accounts", "statuses", "follows", "tasks", "tombstones"}
+
+
+def test_file_store_private_key_is_created_restricted(tmp_path, monkeypatch):
+    """The private key file is 0600 from its creation, not narrowed afterwards."""
+    disk = FileStore(tmp_path / "store")
+    keys = tmp_path / "store" / "keys"
+    (keys / "alice.pem.tmp").write_text("stale")  # left by an interrupted write
+    monkeypatch.setattr(os, "chmod", lambda *args, **kwargs: None)
+    previous = os.umask(0o022)
+    try:
+        disk.save_keypair("alice", "PRIV", "PUB")
+    finally:
+        os.umask(previous)
+    assert (keys / "alice.pem").read_text() == "PRIV"
+    assert (keys / "alice.pem").stat().st_mode & 0o777 == 0o600
+    assert not (keys / "alice.pem.tmp").exists()
+    disk.close()
+
+
+def test_unchanged_account_and_peer_are_not_written_again():
+    writes = []
+
+    class Recording(MemoryStore):
+        def _write(self, collection, key, value):
+            writes.append(collection)
+
+    store = Recording()
+    alice = store.upsert_account(account("alice"))
+    store.record_peer("b.test", "https://b.test/inbox")
+    writes.clear()
+    assert store.upsert_account(account("alice")) == alice
+    store.record_peer("b.test", "https://b.test/inbox")
+    store.record_peer("b.test")
+    assert writes == []
+    store.record_peer("b.test", "https://b.test/shared-inbox")
+    store.upsert_account(account("alice", display_name="Alice"))
+    assert writes == ["peers", "accounts"]
+
+
+def test_file_store_concurrent_commits_all_reach_disk(tmp_path):
+    disk = FileStore(tmp_path / "store")
+    alice = disk.upsert_account(account("alice"))
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def post(i):
+            for n in range(3):
+                s = disk.store_status(status(alice, 10 * i + n))
+                disk.insert_timeline_entry(alice.id, s.id, float(i))
+
+        hammer(8, post)
+    finally:
+        sys.setswitchinterval(previous)
+    assert len(disk.statuses_by_account(alice.id)) == 24
+    live = disk.snapshot()
+    disk.close()
+    reopened = FileStore(tmp_path / "store")
+    assert reopened.snapshot() == live
+    reopened.close()
+
+
+def test_file_store_survives_a_wal_cut_anywhere_in_the_last_commit(tmp_path):
+    """A crash part-way through appending a commit loses that commit and nothing else."""
+    live = FileStore(tmp_path / "live")
+    db = tmp_path / "live" / "store.sqlite3"
+    wal = tmp_path / "live" / "store.sqlite3-wal"
+    alice = live.upsert_account(account("alice"))
+    for n in range(5):
+        live.store_status(status(alice, n))
+    before, wal_before = live.snapshot(), wal.stat().st_size
+    # Long enough to span several WAL frames (database pages).
+    live.store_status(replace(status(alice, 99), content="x" * 20_000))
+    after, wal_after = live.snapshot(), wal.stat().st_size
+    db_bytes, wal_bytes = db.read_bytes(), wal.read_bytes()
+    live.close()
+
+    frame = 24 + int.from_bytes(wal_bytes[8:12], "big")  # frame header + page
+    assert (wal_after - wal_before) % frame == 0 and wal_after - wal_before >= 3 * frame
+    cuts = set(range(wal_before, wal_after, 256))
+    for boundary in range(wal_before, wal_after + 1, frame):
+        cuts.update((boundary - 1, boundary, boundary + 1))
+    outcomes = set()
+    for cut in sorted(c for c in cuts if wal_before <= c <= wal_after):
+        root = tmp_path / f"cut{cut}"
+        root.mkdir()
+        (root / "store.sqlite3").write_bytes(db_bytes)
+        (root / "store.sqlite3-wal").write_bytes(wal_bytes[:cut])
+        reopened = FileStore(root)
+        snapshot = reopened.snapshot()
+        reopened.close()
+        assert snapshot in (before, after), cut
+        outcomes.add(snapshot)
+    assert outcomes == {before, after}
+
+
+def test_file_store_refuses_the_old_json_layout(tmp_path):
+    root = tmp_path / "store"
+    (root / "accounts").mkdir(parents=True)
+    (root / "counters.json").write_text('{"account": 1}')
+    with pytest.raises(StorageUnavailable, match="counters.json"):
+        FileStore(root)
+    assert not (root / "store.sqlite3").exists()
+
+
+def test_file_store_reports_a_corrupt_database_as_unavailable(tmp_path):
+    root = tmp_path / "store"
+    root.mkdir()
+    (root / "store.sqlite3").write_bytes(b"not a database " * 512)
+    with pytest.raises(StorageUnavailable):
+        FileStore(root)

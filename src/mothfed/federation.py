@@ -28,7 +28,7 @@ from .mastodon import Account, Status, Visibility, actor_to_account, note_to_sta
 from .transport import HttpRequest, Transport, TransportError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliveryTask:
     task_id: int
     activity_body: str
@@ -41,7 +41,7 @@ class DeliveryTask:
     result: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FollowRelation:
     id: int
     follower_actor_uri: str
@@ -51,7 +51,7 @@ class FollowRelation:
     created_at: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interaction:
     id: int
     kind: str  # "Like" | "Announce"
@@ -113,7 +113,9 @@ class FederationEngine:
             raise ActorMismatch(
                 f"activity actor {activity.actor} != signer {verified_actor.id}"
             )
-        with self._inbox_lock:
+        # One transaction: the seen id commits together with what it admits,
+        # so a crash cannot leave an activity marked seen but not applied.
+        with self._inbox_lock, self.store.transaction():
             return self._dispatch(activity, verified_actor)
 
     def _dispatch(self, activity: Activity, actor: Actor) -> list[Effect]:
@@ -224,7 +226,7 @@ class FederationEngine:
             object=activity.id,
             to=(actor.id,),
         )
-        task = self.enqueue(accept, signer=target, target_inbox=actor.inbox)
+        (task,) = self.enqueue(accept, signer=target, inboxes=[actor.inbox])
         effects.append(
             Effect("EnqueueDelivery", {"task_id": task.task_id, "inbox": actor.inbox})
         )
@@ -303,16 +305,21 @@ class FederationEngine:
 
     # --- outbound -----------------------------------------------------------
 
-    def enqueue(self, activity: Activity, signer: Account, target_inbox: str) -> DeliveryTask:
+    def enqueue(
+        self, activity: Activity, signer: Account, inboxes: list[str]
+    ) -> list[DeliveryTask]:
+        """One task per inbox; every task shares the one serialized body."""
+        if not inboxes:
+            return []
         body = serialize_object(activity)
         key_id = f"{signer.actor_uri}#main-key"
-        task = self.store.enqueue_task(
-            activity_body=body,
-            target_inbox=target_inbox,
-            key_id=key_id,
-            now=self.clock(),
-        )
-        return task
+        now = self.clock()
+        return [
+            self.store.enqueue_task(
+                activity_body=body, target_inbox=inbox, key_id=key_id, now=now
+            )
+            for inbox in inboxes
+        ]
 
     def fan_out(
         self,
@@ -344,10 +351,8 @@ class FederationEngine:
             if account is not None and account.is_remote:
                 targets.setdefault(account.inbox_uri, account)
 
-        tasks = []
-        body_activity = activity
-        for inbox, account in targets.items():
-            tasks.append(self.enqueue(body_activity, signer=author, target_inbox=inbox))
+        tasks = self.enqueue(activity, signer=author, inboxes=list(targets))
+        for account in targets.values():
             domain = uri_host(account.actor_uri)
             if domain:
                 store.record_peer(domain.lower(), account.inbox_uri)
@@ -363,13 +368,12 @@ class FederationEngine:
             to=(PUBLIC_COLLECTION,),
         )
         scheme = "http" if self.config.test_mode else "https"
-        tasks = []
-        for domain, inbox_hint in self.store.list_peers():
-            if domain.lower() == self.config.domain.lower():
-                continue
-            inbox = inbox_hint or f"{scheme}://{domain}/inbox"
-            tasks.append(self.enqueue(activity, signer=account, target_inbox=inbox))
-        return tasks
+        inboxes = [
+            inbox_hint or f"{scheme}://{domain}/inbox"
+            for domain, inbox_hint in self.store.list_peers()
+            if domain.lower() != self.config.domain.lower()
+        ]
+        return self.enqueue(activity, signer=account, inboxes=inboxes)
 
     # --- delivery -----------------------------------------------------------
 

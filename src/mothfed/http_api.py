@@ -368,22 +368,26 @@ class HttpApi:
                 422, "NoResolvableMentions", "direct statuses need at least one mention"
             )
 
-        status_id = self.node.store.next_status_id(self.node.clock())
-        stored = self.node.store.store_status(
-            Status(
-                id=status_id,
-                uri=self.node.status_uri_for(author.username, status_id),
-                content=sanitize_html(text),
-                account_id=author.id,
-                visibility=visibility,
-                mentions=tuple(mentions),
-                tags=tuple(extract_tags(text)),
-                created_at=self.node.now_dt(),
-                in_reply_to_id=in_reply_to_id,
+        content, tags = sanitize_html(text), tuple(extract_tags(text))
+        # The status, its timeline rows and its delivery tasks commit together:
+        # a crash cannot keep a post that never federates.
+        with self.node.store.transaction():
+            status_id = self.node.store.next_status_id(self.node.clock())
+            stored = self.node.store.store_status(
+                Status(
+                    id=status_id,
+                    uri=self.node.status_uri_for(author.username, status_id),
+                    content=content,
+                    account_id=author.id,
+                    visibility=visibility,
+                    mentions=tuple(mentions),
+                    tags=tags,
+                    created_at=self.node.now_dt(),
+                    in_reply_to_id=in_reply_to_id,
+                )
             )
-        )
-        self.node.engine.local_fan_in(stored, author, include_author=True)
-        self.node.engine.fan_out(stored, author, in_reply_to_uri=in_reply_to_uri)
+            self.node.engine.local_fan_in(stored, author, include_author=True)
+            self.node.engine.fan_out(stored, author, in_reply_to_uri=in_reply_to_uri)
 
         rendered = self._render_status(stored)
         if warnings:
@@ -471,13 +475,6 @@ class HttpApi:
             )
             return _json_response(200, self._relationship(me, target))
 
-        self.node.store.upsert_follow(
-            follower_actor_uri=me.actor_uri,
-            followee_account_id=target.id,
-            state="pending",
-            follow_activity_id=follow_activity_id,
-            created_at=self.node.clock(),
-        )
         follow = Activity(
             id=follow_activity_id,
             kind=ActivityKind.FOLLOW,
@@ -485,10 +482,18 @@ class HttpApi:
             object=target.actor_uri,
             to=(target.actor_uri,),
         )
-        self.node.engine.enqueue(follow, signer=me, target_inbox=target.inbox_uri)
-        domain = uri_host(target.actor_uri)
-        if domain:
-            self.node.store.record_peer(domain.lower(), target.inbox_uri)
+        with self.node.store.transaction():
+            self.node.store.upsert_follow(
+                follower_actor_uri=me.actor_uri,
+                followee_account_id=target.id,
+                state="pending",
+                follow_activity_id=follow_activity_id,
+                created_at=self.node.clock(),
+            )
+            self.node.engine.enqueue(follow, signer=me, inboxes=[target.inbox_uri])
+            domain = uri_host(target.actor_uri)
+            if domain:
+                self.node.store.record_peer(domain.lower(), target.inbox_uri)
         return _json_response(200, self._relationship(me, target))
 
     def _lookup(self, request: HttpRequest) -> HttpResponse:

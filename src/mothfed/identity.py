@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import re
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable
 from urllib.parse import quote, urlsplit
@@ -11,6 +12,9 @@ from urllib.parse import quote, urlsplit
 from .activitypub import ACTIVITY_MEDIA_TYPE
 from .errors import MalformedHandle, NoSelfLink, ResolutionFailed
 from .transport import HttpRequest, Transport, TransportError
+
+# Resolved handles kept; the least recently used one goes first.
+RESOLVER_CACHE_SIZE = 4096
 
 _USERNAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
 _DOMAIN_RE = re.compile(
@@ -195,7 +199,7 @@ class Resolver:
         self.clock = clock
         self.ttl_seconds = ttl_seconds
         self.test_mode = test_mode
-        self._cache: dict[AcctHandle, ResolvedActorRef] = {}
+        self._cache: OrderedDict[AcctHandle, ResolvedActorRef] = OrderedDict()
         self._lock = threading.Lock()
 
     def resolve(self, handle: AcctHandle) -> ResolvedActorRef:
@@ -205,6 +209,7 @@ class Resolver:
         with self._lock:
             cached = self._cache.get(handle)
             if cached is not None and now - cached.fetched_at < self.ttl_seconds:
+                self._cache.move_to_end(handle)
                 return cached
 
         scheme = "http" if self.test_mode else "https"
@@ -233,6 +238,9 @@ class Resolver:
         ref = ResolvedActorRef(handle=handle, actor_uri=actor_uri, fetched_at=now)
         with self._lock:
             self._cache[handle] = ref
+            self._cache.move_to_end(handle)
+            if len(self._cache) > RESOLVER_CACHE_SIZE:
+                self._cache.popitem(last=False)
         return ref
 
     def forget(self, handle: AcctHandle) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import secrets
 import threading
 import time
+from collections import OrderedDict
 from datetime import datetime, timezone
 from typing import Callable
 
@@ -22,6 +23,9 @@ from .identity import AcctHandle, Resolver, valid_username
 from .mastodon import Account, account_to_actor, actor_to_account
 from .storage import MemoryStore, open_store
 from .transport import HttpRequest, HttpResponse, Transport, TransportError, UrllibTransport
+
+# Fetched actor documents kept; the least recently used one goes first.
+ACTOR_CACHE_SIZE = 4096
 
 
 class InstanceNode:
@@ -46,7 +50,7 @@ class InstanceNode:
             test_mode=config.test_mode,
         )
         self.engine = FederationEngine(config, self.store, self.clock)
-        self._actor_cache: dict[str, tuple[Actor, float]] = {}
+        self._actor_cache: OrderedDict[str, tuple[Actor, float]] = OrderedDict()
         self._actor_cache_lock = threading.Lock()
         self.api = HttpApi(self)
 
@@ -81,22 +85,23 @@ class InstanceNode:
             raise NameTaken(username)
         private_pem, public_pem = generate_rsa_keypair(self.config.key_bits)
         actor_uri = self.actor_uri_for(username)
-        account = self.store.upsert_account(
-            Account(
-                id=None,
-                username=username,
-                acct=username,
-                display_name="",
-                actor_uri=actor_uri,
-                inbox_uri=f"{actor_uri}/inbox",
-                public_key_pem=public_pem,
-                created_at=self.now_dt(),
-            )
-        )
-        assert account.id is not None
-        self.store.save_keypair(username, private_pem, public_pem)
         issued = token if token is not None else secrets.token_hex(16)
-        self.store.save_token(account.id, issued)
+        with self.store.transaction():
+            account = self.store.upsert_account(
+                Account(
+                    id=None,
+                    username=username,
+                    acct=username,
+                    display_name="",
+                    actor_uri=actor_uri,
+                    inbox_uri=f"{actor_uri}/inbox",
+                    public_key_pem=public_pem,
+                    created_at=self.now_dt(),
+                )
+            )
+            assert account.id is not None
+            self.store.save_keypair(username, private_pem, public_pem)
+            self.store.save_token(account.id, issued)
         return account, issued
 
     def ensure_user(self, username: str, token: str | None = None) -> tuple[Account, str]:
@@ -116,13 +121,14 @@ class InstanceNode:
         return self.store.get_account(account_id) if account_id is not None else None
 
     def delete_local_account(self, username: str) -> dict[str, int]:
-        account = self.store.get_local_account(username)
-        if account is None:
-            raise UnknownUser(username)
-        # Announce first: fan-out needs the peers table and the account row,
-        # and the retained keypair signs the queued tasks later.
-        tasks = self.engine.propagate_delete(account)
-        report = self.store.delete_account_data(account.actor_uri)
+        with self.store.transaction():
+            account = self.store.get_local_account(username)
+            if account is None:
+                raise UnknownUser(username)
+            # Announce first: fan-out needs the peers table and the account row,
+            # and the retained keypair signs the queued tasks later.
+            tasks = self.engine.propagate_delete(account)
+            report = self.store.delete_account_data(account.actor_uri)
         report["deliveries"] = len(tasks)
         return report
 
@@ -135,6 +141,7 @@ class InstanceNode:
         with self._actor_cache_lock:
             cached = self._actor_cache.get(uri)
             if cached is not None and now - cached[1] < self.config.resolve_ttl_seconds:
+                self._actor_cache.move_to_end(uri)
                 return cached[0]
 
         if uri_host(uri).lower() == self.domain.lower():
@@ -162,6 +169,9 @@ class InstanceNode:
 
         with self._actor_cache_lock:
             self._actor_cache[uri] = (actor, now)
+            self._actor_cache.move_to_end(uri)
+            if len(self._actor_cache) > ACTOR_CACHE_SIZE:
+                self._actor_cache.popitem(last=False)
         return actor
 
     def forget_actor(self, actor_uri: str) -> None:
@@ -177,12 +187,13 @@ class InstanceNode:
             actor = self.fetch_actor(ref.actor_uri)
         except ActorFetchFailed as exc:
             raise ResolutionFailed(str(exc)) from exc
-        account = self.store.upsert_account(
-            actor_to_account(actor, self.domain, self.now_dt())
-        )
-        domain = uri_host(actor.id)
-        if domain and domain.lower() != self.domain.lower():
-            self.store.record_peer(domain.lower(), actor.inbox)
+        with self.store.transaction():
+            account = self.store.upsert_account(
+                actor_to_account(actor, self.domain, self.now_dt())
+            )
+            domain = uri_host(actor.id)
+            if domain and domain.lower() != self.domain.lower():
+                self.store.record_peer(domain.lower(), actor.inbox)
         return account
 
     # --- delivery --------------------------------------------------------------

@@ -37,7 +37,7 @@ class Visibility(str, Enum):
         return {"public": 2, "followers": 1, "direct": 0}[self.value]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Account:
     id: int | None
     username: str
@@ -53,13 +53,13 @@ class Account:
         return "@" in self.acct
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mention:
     acct: str
     actor_uri: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Status:
     id: int | None
     uri: str

@@ -19,6 +19,7 @@ import json
 import os
 import sqlite3
 import threading
+from contextlib import AbstractContextManager
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -74,6 +75,8 @@ class MemoryStore:
         self._lock = threading.RLock()
         self._accounts: dict[int, Account] = {}
         self._account_by_uri: dict[str, int] = {}
+        # lowercased username -> id, local accounts only
+        self._local_by_name: dict[str, int] = {}
         self._statuses: dict[int, Status] = {}
         self._status_by_uri: dict[str, int] = {}
         self._tag_index: dict[str, list[int]] = {}
@@ -93,6 +96,14 @@ class MemoryStore:
         self._token_by_account: dict[int, str] = {}
         self._tasks: dict[int, DeliveryTask] = {}
         self._counters: dict[str, int] = {}
+
+    def transaction(self) -> AbstractContextManager[Any]:
+        """Hold the store for several calls; on FileStore they commit as one.
+
+        The scope is the store's re-entrant lock, so other callers wait for
+        it: never make a network call inside it.
+        """
+        return self._lock
 
     # --- sequences ---------------------------------------------------------
 
@@ -144,10 +155,15 @@ class MemoryStore:
                 )
             assert stored.id is not None
             if self._accounts.get(stored.id) != stored:
-                self._accounts[stored.id] = stored
-                self._account_by_uri[stored.actor_uri] = stored.id
+                self._index_account(stored)
                 self._write("accounts", stored.id, stored)
             return stored
+
+    def _index_account(self, account: Account) -> None:
+        self._accounts[account.id] = account
+        self._account_by_uri[account.actor_uri] = account.id
+        if not account.is_remote:
+            self._local_by_name[account.username.lower()] = account.id
 
     def get_account(self, account_id: int) -> Account | None:
         with self._lock:
@@ -159,12 +175,9 @@ class MemoryStore:
             return self._accounts.get(account_id) if account_id is not None else None
 
     def get_local_account(self, username: str) -> Account | None:
-        wanted = username.lower()
         with self._lock:
-            for account in self._accounts.values():
-                if not account.is_remote and account.username.lower() == wanted:
-                    return account
-            return None
+            account_id = self._local_by_name.get(username.lower())
+            return self._accounts.get(account_id) if account_id is not None else None
 
     def local_accounts(self) -> list[Account]:
         with self._lock:
@@ -506,8 +519,10 @@ class MemoryStore:
             account_id = self._account_by_uri.get(actor_uri)
             if account_id is None:
                 return report
-            self._accounts.pop(account_id)
+            account = self._accounts.pop(account_id)
             self._account_by_uri.pop(actor_uri, None)
+            if not account.is_remote:
+                self._local_by_name.pop(account.username.lower(), None)
             self._write("accounts", account_id, None)
             report["account"] = 1
 
@@ -684,6 +699,9 @@ def _write_atomic(path: Path, data: bytes, mode: int) -> None:
 # A commit is on disk before the call that made it returns.
 JOURNAL_MODE = "WAL"
 SYNCHRONOUS = "FULL"
+# Page cache in KiB (negative is SQLite's unit for KiB). Reads are served
+# from memory, so SQLite's pages are only touched again by the next write.
+CACHE_KIB = 256
 
 _ENCODERS = {
     "accounts": account_record,
@@ -698,8 +716,8 @@ class _CommitLock:
     """The store's re-entrant lock; the outermost release commits the open transaction.
 
     Every mutating call holds the lock for its whole run, so each outermost
-    call that wrote anything is one transaction, and memory and disk agree
-    whenever the lock is free.
+    call, or ``transaction()`` scope, that wrote anything is one transaction,
+    and memory and disk agree whenever the lock is free.
     """
 
     def __init__(self, lock: threading.RLock, db: sqlite3.Connection) -> None:
@@ -749,6 +767,7 @@ class FileStore(MemoryStore):
         try:
             self._db.execute(f"PRAGMA journal_mode={JOURNAL_MODE}")
             self._db.execute(f"PRAGMA synchronous={SYNCHRONOUS}")
+            self._db.execute(f"PRAGMA cache_size=-{CACHE_KIB}")
             self._db.execute(
                 "CREATE TABLE IF NOT EXISTS records (collection TEXT, key TEXT, body TEXT,"
                 " PRIMARY KEY (collection, key)) WITHOUT ROWID"
@@ -765,9 +784,7 @@ class FileStore(MemoryStore):
             data = json.loads(body)
             match collection:
                 case "accounts":
-                    account = account_from_record(data)
-                    self._accounts[account.id] = account
-                    self._account_by_uri[account.actor_uri] = account.id
+                    self._index_account(account_from_record(data))
                 case "statuses":
                     status = status_from_record(data)
                     self._statuses[status.id] = status

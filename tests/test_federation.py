@@ -4,6 +4,7 @@ from datetime import datetime, timezone
 
 import pytest
 
+from mothfed import federation
 from mothfed.activitypub import (
     PUBLIC_COLLECTION,
     Activity,
@@ -14,6 +15,7 @@ from mothfed.activitypub import (
     PublicKeySpec,
     TagEntry,
     TagKind,
+    serialize_object,
 )
 from mothfed.config import Config
 from mothfed.errors import ActorMismatch, TombstonedActor, TransportError
@@ -577,6 +579,28 @@ def test_fan_out_matches_the_audience_oracle(world):
         assert got == want, (trial, visibility)
 
 
+def test_fan_out_serializes_the_activity_once_for_all_inboxes(world, monkeypatch):
+    engine, store, _, alice = world
+    for i in range(16):
+        follower = remote_account(store, f"user{i}", f"host{i // 4}.test")
+        store.upsert_follow(follower.actor_uri, alice.id, "accepted", f"http://x/{i}", 0.0)
+    serialized = []
+
+    def counting(obj):
+        serialized.append(obj)
+        return serialize_object(obj)
+
+    monkeypatch.setattr(federation, "serialize_object", counting)
+    tasks = engine.fan_out(local_status(alice, 1), alice)
+    assert len(tasks) == 16 and len(serialized) == 1
+    assert all(t.activity_body is tasks[0].activity_body for t in tasks)
+
+    # The Delete to the four peers fan-out recorded is serialized once too.
+    deletes = engine.propagate_delete(alice)
+    assert len(deletes) == 4 and len(serialized) == 2
+    assert all(t.activity_body is deletes[0].activity_body for t in deletes)
+
+
 # --- propagate_delete ----------------------------------------------------------------------
 
 
@@ -626,7 +650,8 @@ def enqueue_one(engine, store, alice, inbox="http://b.test/users/bob/inbox"):
         actor=alice.actor_uri,
         object="http://b.test/statuses/1",
     )
-    return engine.enqueue(activity, signer=alice, target_inbox=inbox)
+    (task,) = engine.enqueue(activity, signer=alice, inboxes=[inbox])
+    return task
 
 
 def test_process_queue_delivers_and_signs(world):

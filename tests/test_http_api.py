@@ -1,8 +1,10 @@
 import json
+import shutil
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from mothfed import instance
 from mothfed.activitypub import (
     ACTIVITY_MEDIA_TYPE,
     AS_CONTEXT,
@@ -18,7 +20,7 @@ from mothfed.config import Config
 from mothfed.httpsig import generate_rsa_keypair, sign_request
 from mothfed.identity import AcctHandle, build_jrd
 from mothfed.instance import InstanceNode
-from mothfed.storage import MemoryStore
+from mothfed.storage import FileStore, MemoryStore
 from mothfed.transport import HttpRequest, HttpResponse
 
 from .support import walk_for_nulls
@@ -692,3 +694,105 @@ def test_responses_never_smuggle_nulls(node):
     for response in surfaces:
         assert response.status == 200
         assert walk_for_nulls(body_json(response)) == []
+
+
+def test_actor_cache_keeps_the_most_recently_used_actors(node, monkeypatch):
+    monkeypatch.setattr(instance, "ACTOR_CACHE_SIZE", 3)
+    uris = [install_remote(node.transport, f"bob{i}") for i in range(4)]
+    for uri in uris[:3]:
+        node.fetch_actor(uri)
+    node.fetch_actor(uris[0])  # a hit: bob0 becomes the most recently used
+    node.fetch_actor(uris[3])  # the fourth distinct actor evicts bob1
+    assert len(node._actor_cache) == 3
+    fetched = len(node.transport.requests)
+    node.fetch_actor(uris[0])
+    assert len(node.transport.requests) == fetched
+    node.fetch_actor(uris[1])
+    assert len(node.transport.requests) == fetched + 1
+
+
+# --- one transaction per request ---------------------------------------------------
+
+
+def file_node_at(root, transport=None):
+    config = Config(domain=LOCAL, test_mode=True, key_bits=1024)
+    return InstanceNode(
+        config, store=FileStore(root), transport=transport or CannedTransport(), clock=Ticker()
+    )
+
+
+def alice_and_bob_follow_each_other(node):
+    install_remote(node.transport)
+    bob = node.resolve_account(AcctHandle("bob", "b.test"))
+    alice = node.store.get_local_account("alice")
+    node.store.upsert_follow(alice.actor_uri, bob.id, "accepted", f"{alice.actor_uri}#f/1", 0.0)
+    node.store.upsert_follow(bob.actor_uri, alice.id, "accepted", f"{bob.actor_uri}#f/1", 0.0)
+    return alice, bob
+
+
+def commits(node, action):
+    """Run ``action``; return the number of COMMITs it sent to the file store."""
+    statements = []
+    node.store._db.set_trace_callback(statements.append)
+    try:
+        action()
+    finally:
+        node.store._db.set_trace_callback(None)
+    return statements.count("COMMIT")
+
+
+def test_each_request_commits_its_writes_once(tmp_path):
+    node = file_node_at(tmp_path / "store")
+    node.create_user("alice", token="tok-alice")
+    alice, bob = alice_and_bob_follow_each_other(node)
+    install_remote(node.transport, "dave")
+    requests = {
+        "lookup": lambda: get(node, "/api/v1/accounts/lookup?acct=dave@b.test"),
+        "create_user": lambda: node.create_user("carol", token="tok-carol"),
+        "follow": lambda: api_post(node, f"/api/v1/accounts/{bob.id}/follow", {}, "tok-carol"),
+        "inbox Create": lambda: signed_inbox_post(node, bob_create(), BOB_KEY_ID, REMOTE_PRIVATE),
+        "post status": lambda: api_post(node, "/api/v1/statuses", {"status": "hi followers"}),
+        "delete_local_account": lambda: node.delete_local_account("carol"),
+    }
+    assert {name: commits(node, action) for name, action in requests.items()} == {
+        name: 1 for name in requests
+    }
+    timeline = node.store.query_home_timeline(alice.id)
+    assert [s.content for s in timeline] == ["hi followers", "hello"]
+    # Follow, Create and Delete, each to bob's inbox.
+    assert [t.target_inbox for t in node.store.all_tasks()] == [bob.inbox_uri] * 3
+    node.close()
+
+
+def test_a_crash_inside_an_inbox_request_is_undone_by_the_senders_retry(tmp_path, monkeypatch):
+    live = file_node_at(tmp_path / "live")
+    live.create_user("alice", token="tok-alice")
+    alice_and_bob_follow_each_other(live)
+    crashed = tmp_path / "crashed"
+    write = live.store._write
+
+    def write_then_copy(collection, key, value):
+        # Copy the files as a crash right after the status row would leave them.
+        write(collection, key, value)
+        if collection == "statuses" and not crashed.exists():
+            crashed.mkdir()
+            for name in ("store.sqlite3", "store.sqlite3-wal"):
+                shutil.copy(tmp_path / "live" / name, crashed / name)
+
+    monkeypatch.setattr(live.store, "_write", write_then_copy)
+    url = f"{BASE}/users/alice/inbox"
+    body = bob_create().encode()
+    when = datetime.fromtimestamp(live.clock(), tz=timezone.utc)
+    _, headers = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_PRIVATE, when)
+    headers["Content-Type"] = ACTIVITY_MEDIA_TYPE
+    request = HttpRequest("POST", url, headers, body)
+    assert live.handle_http(request).status == 202
+    live.close()
+    assert crashed.exists()
+
+    # The sender never saw the 202, so it delivers the same request again.
+    restarted = file_node_at(crashed, live.transport)
+    assert restarted.handle_http(request).status == 202
+    timeline = get(restarted, "/api/v1/timelines/home", {"Authorization": "Bearer tok-alice"})
+    assert [s["uri"] for s in body_json(timeline)] == ["http://b.test/users/bob/statuses/1"]
+    restarted.close()

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mothfed import identity
 from mothfed.activitypub import ACTIVITY_MEDIA_TYPE
 from mothfed.errors import MalformedHandle, NoSelfLink, ResolutionFailed, TransportError
 from mothfed.identity import (
@@ -248,3 +249,21 @@ def test_resolver_failures_are_not_cached():
         resolver.resolve(handle)
     transport.responses[url] = jrd_response(handle, "https://b.test/users/bob")
     assert resolver.resolve(handle).actor_uri == "https://b.test/users/bob"
+
+
+def test_resolver_cache_keeps_the_most_recently_used_handles(monkeypatch):
+    monkeypatch.setattr(identity, "RESOLVER_CACHE_SIZE", 3)
+    handles = [AcctHandle(f"bob{i}", "b.test") for i in range(4)]
+    resolver, transport, _ = make_resolver(
+        {webfinger_url(h): jrd_response(h, f"https://b.test/users/{h.username}") for h in handles}
+    )
+    for handle in handles[:3]:
+        resolver.resolve(handle)
+    resolver.resolve(handles[0])  # a hit: bob0 becomes the most recently used
+    resolver.resolve(handles[3])  # the fourth distinct handle evicts bob1
+    assert len(resolver._cache) == 3
+    assert len(transport.requests) == 4
+    resolver.resolve(handles[0])
+    assert len(transport.requests) == 4
+    resolver.resolve(handles[1])
+    assert len(transport.requests) == 5

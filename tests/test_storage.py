@@ -79,6 +79,22 @@ def test_local_account_lookup_is_case_insensitive(store):
     assert store.get_local_account("nobody") is None
 
 
+def test_local_account_lookup_survives_reopen_and_ignores_remotes_and_the_deleted(tmp_path):
+    first = FileStore(tmp_path / "store")
+    first.upsert_account(account("bob", domain="b.test"))
+    alice = first.upsert_account(account("Alice"))
+    first.upsert_account(account("alice", domain="a.test"))
+    carol = first.upsert_account(account("carol"))
+    first.delete_account_data(carol.actor_uri)
+    second = FileStore(tmp_path / "store")
+    for store in (first, second):
+        assert store.get_local_account("ALICE") == alice
+        assert store.get_local_account("bob") is None
+        assert store.get_local_account("carol") is None
+    first.close()
+    second.close()
+
+
 def test_local_accounts_excludes_remotes(store):
     store.upsert_account(account("alice"))
     store.upsert_account(account("bob", domain="b.test"))
@@ -623,6 +639,33 @@ def test_file_store_concurrent_commits_all_reach_disk(tmp_path):
     disk.close()
     reopened = FileStore(tmp_path / "store")
     assert reopened.snapshot() == live
+    reopened.close()
+
+
+def test_file_store_concurrent_transactions_commit_once_each(tmp_path):
+    disk = FileStore(tmp_path / "store")
+    alice = disk.upsert_account(account("alice"))
+    statements = []
+    disk._db.set_trace_callback(statements.append)
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def post(i):
+            for n in range(3):
+                with disk.transaction():
+                    s = disk.store_status(status(alice, 10 * i + n))
+                    disk.insert_timeline_entry(alice.id, s.id, float(i))
+
+        hammer(8, post)
+    finally:
+        sys.setswitchinterval(previous)
+        disk._db.set_trace_callback(None)
+    assert statements.count("COMMIT") == 24
+    live = disk.snapshot()
+    disk.close()
+    reopened = FileStore(tmp_path / "store")
+    assert reopened.snapshot() == live
+    assert len(reopened.query_home_timeline(alice.id, limit=40)) == 24
     reopened.close()
 
 

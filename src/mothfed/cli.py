@@ -5,13 +5,11 @@ Exit codes: 0 success, 1 runtime error, 2 usage error (argparse's own).
 from __future__ import annotations
 
 import argparse
-import json
 import signal
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable
 
 from .activitypub import validate_actor_document
 from .config import Config, load_config
@@ -193,19 +191,10 @@ def cmd_keygen(config: Config, name: str) -> int:
         if account is None:
             raise MothError(f"no local account {name}")
         private_pem, public_pem = generate_rsa_keypair(config.key_bits)
-        node.store.save_keypair(name, private_pem, public_pem)
-        refreshed = node.store.upsert_account(
-            type(account)(
-                id=account.id,
-                username=account.username,
-                acct=account.acct,
-                display_name=account.display_name,
-                actor_uri=account.actor_uri,
-                inbox_uri=account.inbox_uri,
-                public_key_pem=public_pem,
-                created_at=account.created_at,
-            )
-        )
+        # One commit: the published public key always matches the signing key.
+        with node.store.transaction():
+            node.store.save_keypair(account.username, private_pem, public_pem)
+            refreshed = node.store.upsert_account(replace(account, public_key_pem=public_pem))
     finally:
         node.close()
     print(f"rotated keypair for {refreshed.acct}")

@@ -24,10 +24,6 @@ class Config:
     bind: str = "127.0.0.1"
     storage_backend: str = "memory"
     storage_path: str | None = None
-    skew_seconds: float = 300.0
-    max_attempts: int = 8
-    retry_base_seconds: float = 10.0
-    resolve_ttl_seconds: float = 3600.0
     test_mode: bool = False
     key_bits: int = 2048
 
@@ -47,11 +43,6 @@ class Config:
             raise ConfigError(f"unknown storage backend {self.storage_backend!r}")
         if self.storage_backend == "file" and not self.storage_path:
             raise ConfigError("file storage backend needs a storage_path")
-        for name in ("skew_seconds", "retry_base_seconds", "resolve_ttl_seconds"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.max_attempts < 1:
-            raise ConfigError("max_attempts must be at least 1")
         if self.key_bits < 512:
             raise ConfigError("key_bits too small for RSA")
         return self

@@ -27,6 +27,10 @@ from .httpsig import sign_request
 from .mastodon import Account, Status, Visibility, actor_to_account, note_to_status, status_to_note
 from .transport import HttpRequest, Transport, TransportError
 
+# A task that fails this many times is parked; retry n waits RETRY_BASE_SECONDS * 2**n.
+MAX_ATTEMPTS = 8
+RETRY_BASE_SECONDS = 10.0
+
 
 @dataclass(frozen=True, slots=True)
 class DeliveryTask:
@@ -427,14 +431,14 @@ class FederationEngine:
 
     def _reschedule(self, task: DeliveryTask, now: float, reason: str) -> DeliveryTask:
         attempts = task.attempts + 1
-        if attempts >= self.config.max_attempts:
+        if attempts >= MAX_ATTEMPTS:
             return replace(
                 task,
                 attempts=attempts,
                 terminal=True,
                 result=f"failed: {reason} after {attempts} attempts",
             )
-        delay = self.config.retry_base_seconds * (2 ** attempts)
+        delay = RETRY_BASE_SECONDS * (2 ** attempts)
         return replace(
             task,
             attempts=attempts,

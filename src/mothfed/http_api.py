@@ -17,6 +17,7 @@ from .activitypub import (
     JRD_MEDIA_TYPE,
     Activity,
     ActivityKind,
+    Actor,
     format_timestamp,
     parse_activity,
     to_wire_dict,
@@ -25,7 +26,6 @@ from .activitypub import (
 from .errors import (
     ActorFetchFailed,
     ActorMismatch,
-    DuplicateUri,
     MalformedDocument,
     MalformedHandle,
     MissingRequiredField,
@@ -210,15 +210,7 @@ class HttpApi:
         if isinstance(found, HttpResponse):
             return found
         try:
-            verified = verify_signature(
-                method=request.method,
-                target=request.target,
-                headers=request.headers,
-                body=request.body,
-                actor_fetch=self.node.fetch_actor,
-                now=self.node.now_dt(),
-                skew_seconds=self.node.config.skew_seconds,
-            )
+            verified = self._verify(request)
         except SignatureError as exc:
             return _error(401, exc.reason, str(exc))
 
@@ -247,6 +239,34 @@ class HttpApi:
             elif effect.kind == "DeleteAccount":
                 self.node.forget_actor(effect.detail["actor"])
         return _json_response(202, {"queued": True, "warnings": warnings})
+
+    def _verify(self, request: HttpRequest) -> Actor:
+        """verify_signature; a key that fails against a cached actor document
+        is checked once more against a fresh fetch, as the peer may have
+        rotated it since the document was cached."""
+        node = self.node
+        cached: set[str] = set()
+
+        def fetch(uri: str) -> Actor:
+            if node.cached_actor(uri) is not None:
+                cached.add(uri)
+            return node.fetch_actor(uri)
+
+        def refetch(uri: str) -> Actor | None:
+            if uri not in cached:
+                return None
+            node.forget_actor(uri)
+            return node.fetch_actor(uri)
+
+        return verify_signature(
+            method=request.method,
+            target=request.target,
+            headers=request.headers,
+            body=request.body,
+            actor_fetch=fetch,
+            now=node.now_dt(),
+            actor_refetch=refetch,
+        )
 
     def _outbox(self, name: str) -> HttpResponse:
         found = self._local_account_or_error(name)

@@ -32,6 +32,8 @@ from .errors import (
 
 ALGORITHM = "rsa-sha256"
 SIGNED_HEADERS = ("(request-target)", "host", "date", "digest")
+# Largest accepted distance, in seconds, between a request's Date and now.
+SKEW_SECONDS = 300.0
 
 
 @dataclass(frozen=True)
@@ -146,13 +148,17 @@ def verify_signature(
     body: bytes,
     actor_fetch: Callable[[str], Actor],
     now: datetime,
-    skew_seconds: float = 300.0,
+    skew_seconds: float = SKEW_SECONDS,
+    actor_refetch: Callable[[str], Actor | None] | None = None,
 ) -> Actor:
     """Verify a signed request and return the actor owning the signing key.
 
     actor_fetch maps an actor URI to its Actor document and may raise
-    ActorFetchFailed. Raises NoSignature, StaleDate, DigestMismatch,
-    BadSignature, or ActorFetchFailed; each carries its own reason string.
+    ActorFetchFailed. When the signature does not verify against that
+    document's key, actor_refetch (if given) is asked once for a fresher
+    document, or None when there is none: the key may have been rotated.
+    Raises NoSignature, StaleDate, DigestMismatch, BadSignature, or
+    ActorFetchFailed; each carries its own reason string.
     """
     lowered = {k.lower(): v for k, v in headers.items()}
 
@@ -185,20 +191,29 @@ def verify_signature(
         missing = ", ".join(sorted(required - set(params.headers)))
         raise BadSignature(f"signature does not cover required headers: {missing}")
 
-    actor_uri = params.key_id.split("#", 1)[0]
-    actor = actor_fetch(actor_uri)
-    key_owner = actor.public_key.owner or actor.id
-    if key_owner != actor.id:
-        raise BadSignature("key owner does not match the actor document")
-
     try:
         values = {
             name: lowered[name] for name in params.headers if name != "(request-target)"
         }
     except KeyError as exc:
         raise BadSignature(f"signed header {exc.args[0]!r} absent from request") from exc
-    message = signing_string(method, target, values, params.headers)
+    message = signing_string(method, target, values, params.headers).encode("utf-8")
 
+    actor_uri = params.key_id.split("#", 1)[0]
+    actor = actor_fetch(actor_uri)
+    if _key_verifies(actor, params.signature, message):
+        return actor
+    fresher = actor_refetch(actor_uri) if actor_refetch is not None else None
+    if fresher is not None and _key_verifies(fresher, params.signature, message):
+        return fresher
+    raise BadSignature("signature does not verify against the actor's key")
+
+
+def _key_verifies(actor: Actor, signature: str, message: bytes) -> bool:
+    """Whether the actor's key verifies the signature; BadSignature if it cannot tell."""
+    key_owner = actor.public_key.owner or actor.id
+    if key_owner != actor.id:
+        raise BadSignature("key owner does not match the actor document")
     try:
         public_key = serialization.load_pem_public_key(
             actor.public_key.pem.encode("ascii")
@@ -206,14 +221,13 @@ def verify_signature(
     except (ValueError, UnicodeEncodeError) as exc:
         raise BadSignature(f"actor's public key is unusable: {exc}") from exc
     try:
-        raw = base64.b64decode(params.signature, validate=True)
+        raw = base64.b64decode(signature, validate=True)
     except ValueError as exc:
         raise BadSignature("signature is not valid base64") from exc
     try:
-        public_key.verify(raw, message.encode("utf-8"), padding.PKCS1v15(), hashes.SHA256())
-    except InvalidSignature as exc:
-        raise BadSignature("signature does not verify against the actor's key") from exc
+        public_key.verify(raw, message, padding.PKCS1v15(), hashes.SHA256())
+    except InvalidSignature:
+        return False
     except (ValueError, TypeError) as exc:
         raise BadSignature(f"signature verification failed: {exc}") from exc
-
-    return actor
+    return True

@@ -5,7 +5,7 @@ import json
 import re
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 from urllib.parse import quote, urlsplit
 
@@ -15,6 +15,8 @@ from .transport import HttpRequest, Transport, TransportError
 
 # Resolved handles kept; the least recently used one goes first.
 RESOLVER_CACHE_SIZE = 4096
+# How long a resolved handle, or a fetched actor document, is trusted.
+RESOLVE_TTL_SECONDS = 3600.0
 
 _USERNAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
 _DOMAIN_RE = re.compile(
@@ -191,7 +193,7 @@ class Resolver:
         local_domain: str,
         transport: Transport,
         clock: Callable[[], float],
-        ttl_seconds: float = 3600.0,
+        ttl_seconds: float = RESOLVE_TTL_SECONDS,
         test_mode: bool = False,
     ) -> None:
         self.local_domain = local_domain.lower()

@@ -19,7 +19,7 @@ from .errors import ActorFetchFailed, InvalidName, NameTaken, ResolutionFailed, 
 from .federation import FederationEngine, QueueReport
 from .http_api import HttpApi
 from .httpsig import generate_rsa_keypair
-from .identity import AcctHandle, Resolver, valid_username
+from .identity import RESOLVE_TTL_SECONDS, AcctHandle, Resolver, valid_username
 from .mastodon import Account, account_to_actor, actor_to_account
 from .storage import MemoryStore, open_store
 from .transport import HttpRequest, HttpResponse, Transport, TransportError, UrllibTransport
@@ -46,7 +46,6 @@ class InstanceNode:
             local_domain=config.domain,
             transport=self.transport,
             clock=self.clock,
-            ttl_seconds=config.resolve_ttl_seconds,
             test_mode=config.test_mode,
         )
         self.engine = FederationEngine(config, self.store, self.clock)
@@ -134,15 +133,23 @@ class InstanceNode:
 
     # --- remote actors ----------------------------------------------------------
 
+    def cached_actor(self, actor_uri: str) -> Actor | None:
+        """The fetched actor document for a URI, if one is cached and fresh."""
+        uri = actor_uri.split("#", 1)[0]
+        with self._actor_cache_lock:
+            cached = self._actor_cache.get(uri)
+            if cached is None or self.clock() - cached[1] >= RESOLVE_TTL_SECONDS:
+                return None
+            self._actor_cache.move_to_end(uri)
+            return cached[0]
+
     def fetch_actor(self, actor_uri: str) -> Actor:
         """Actor document for a URI, via cache, local store, or the network."""
         uri = actor_uri.split("#", 1)[0]
+        cached = self.cached_actor(uri)
+        if cached is not None:
+            return cached
         now = self.clock()
-        with self._actor_cache_lock:
-            cached = self._actor_cache.get(uri)
-            if cached is not None and now - cached[1] < self.config.resolve_ttl_seconds:
-                self._actor_cache.move_to_end(uri)
-                return cached[0]
 
         if uri_host(uri).lower() == self.domain.lower():
             account = self.store.get_account_by_uri(uri)

@@ -10,8 +10,8 @@ File layout under the root path:
     store.sqlite3 (+ -wal, -shm)  records(collection, key, body): one JSON body
                                   per account, status, follow, interaction,
                                   task, timeline entry, peer, seen activity id,
-                                  tombstone, token and id sequence
-    keys/{user}.pem,.pub.pem      PEM keypairs (private file mode 0600)
+                                  tombstone, token, key pair and id sequence;
+                                  mode 0600, as it holds tokens and private keys
 """
 from __future__ import annotations
 
@@ -178,13 +178,6 @@ class MemoryStore:
         with self._lock:
             account_id = self._local_by_name.get(username.lower())
             return self._accounts.get(account_id) if account_id is not None else None
-
-    def local_accounts(self) -> list[Account]:
-        with self._lock:
-            return sorted(
-                (a for a in self._accounts.values() if not a.is_remote),
-                key=lambda a: a.id or 0,
-            )
 
     # --- statuses ------------------------------------------------------------
 
@@ -439,11 +432,6 @@ class MemoryStore:
             self._write("interactions", item_id, None)
             return item
 
-    def interactions_for(self, object_uri: str) -> list[Interaction]:
-        with self._lock:
-            found = [i for i in self._interactions.values() if i.object_uri == object_uri]
-            return sorted(found, key=lambda i: i.id)
-
     # --- peers, seen, tombstones ---------------------------------------------------
 
     def record_peer(self, domain: str, inbox_hint: str | None = None) -> None:
@@ -480,7 +468,7 @@ class MemoryStore:
     def save_keypair(self, username: str, private_pem: str, public_pem: str) -> None:
         with self._lock:
             self._keys[username] = (private_pem, public_pem)
-            self._write("keys", username, (private_pem, public_pem))
+            self._write("keys", username, (username, private_pem, public_pem))
 
     def keypair(self, username: str) -> tuple[str, str] | None:
         with self._lock:
@@ -623,12 +611,6 @@ class MemoryStore:
             ]
             return sorted(due, key=lambda t: (t.next_attempt_at, t.task_id))
 
-    def pending_tasks(self) -> list[DeliveryTask]:
-        with self._lock:
-            return sorted(
-                (t for t in self._tasks.values() if not t.terminal), key=lambda t: t.task_id
-            )
-
     def pending_count(self) -> int:
         with self._lock:
             return sum(1 for t in self._tasks.values() if not t.terminal)
@@ -682,18 +664,6 @@ class MemoryStore:
         Called under the lock after the in-memory change, with the domain
         object itself, so only a persistent backend pays for serializing it.
         """
-
-
-def _write_atomic(path: Path, data: bytes, mode: int) -> None:
-    """Replace ``path`` with ``data``; the file never exists with wider permissions."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.unlink(missing_ok=True)
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
-    with os.fdopen(fd, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
 
 
 # A commit is on disk before the call that made it returns.
@@ -756,8 +726,16 @@ class FileStore(MemoryStore):
                 f"{root} holds the old per-record JSON layout (counters.json), "
                 f"not {path.name}; it cannot be opened"
             )
+        keys = self.root / "keys"
+        if any(keys.glob("*.pem")):
+            raise StorageUnavailable(
+                f"{keys} holds PEM files of the old key layout; key pairs now live in "
+                f"{path.name}, so {root} cannot be opened"
+            )
         try:
-            (self.root / "keys").mkdir(parents=True, exist_ok=True)
+            self.root.mkdir(parents=True, exist_ok=True)
+            # SQLite gives -wal and -shm the mode of the database file.
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o600))
         except OSError as exc:
             raise StorageUnavailable(f"cannot prepare storage root {root}: {exc}") from exc
         try:
@@ -776,7 +754,6 @@ class FileStore(MemoryStore):
         except sqlite3.DatabaseError as exc:
             self._db.close()
             raise StorageUnavailable(f"cannot read {path}: {exc}") from exc
-        self._load_keys()
         self._lock = _CommitLock(self._lock, self._db)
 
     def _load(self, rows: Iterable[tuple[str, str]]) -> None:
@@ -823,31 +800,16 @@ class FileStore(MemoryStore):
                     account_id, token = data
                     self._tokens[token] = account_id
                     self._token_by_account[account_id] = token
+                case "keys":
+                    username, private_pem, public_pem = data
+                    self._keys[username] = (private_pem, public_pem)
                 case "counters":
                     name, value = data
                     self._counters[name] = value
                 case _:
                     raise StorageUnavailable(f"unknown collection {collection!r} in store")
 
-    def _load_keys(self) -> None:
-        keys_dir = self.root / "keys"
-        for private_path in sorted(keys_dir.glob("*.pem")):
-            if private_path.name.endswith(".pub.pem"):
-                continue
-            username = private_path.name[: -len(".pem")]
-            public_path = keys_dir / f"{username}.pub.pem"
-            if public_path.exists():
-                self._keys[username] = (
-                    private_path.read_text("utf-8"),
-                    public_path.read_text("utf-8"),
-                )
-
     def _write(self, collection: str, key: Any, value: Any) -> None:
-        if collection == "keys":
-            private_pem, public_pem = value
-            _write_atomic(self.root / "keys" / f"{key}.pem", private_pem.encode("ascii"), 0o600)
-            _write_atomic(self.root / "keys" / f"{key}.pub.pem", public_pem.encode("ascii"), 0o644)
-            return
         try:
             if not self._db.in_transaction:
                 self._db.execute("BEGIN")

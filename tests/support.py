@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import json
 import random
 import re
 import string
@@ -174,6 +175,12 @@ def gen_status(rng: random.Random, account_id: int = 1, domain: str = "home.test
         tags=tuple(dict.fromkeys(rand_word(rng, 5) for _ in range(rng.randint(0, 3)))),
         created_at=rand_datetime(rng),
     )
+
+
+def interactions_on(store: Any, object_uri: str) -> list[dict[str, Any]]:
+    """The interaction records on an object, in id order, read from the snapshot."""
+    records = json.loads(store.snapshot())["interactions"].values()
+    return sorted((r for r in records if r["object_uri"] == object_uri), key=lambda r: r["id"])
 
 
 def walk_for_nulls(value: Any, path: str = "$") -> list[str]:

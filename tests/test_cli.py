@@ -1,6 +1,7 @@
 """CLI commands: config loading, probe walk, account management, serving."""
 import json
 import os
+import shutil
 import signal
 import socket
 import subprocess
@@ -14,12 +15,12 @@ from urllib.parse import quote
 import pytest
 
 import mothfed
-from mothfed.cli import cmd_probe, cmd_serve, main, run_probe
+from mothfed.cli import cmd_keygen, cmd_probe, cmd_serve, main, run_probe
 from mothfed.config import Config, load_config
 from mothfed.errors import BindFailed, ConfigError
 from mothfed.instance import InstanceNode
 from mothfed.simnet import VirtualNet, VirtualTransport
-from mothfed.storage import open_store
+from mothfed.storage import FileStore, open_store
 from mothfed.transport import HttpRequest, Transport, TransportError
 
 
@@ -103,6 +104,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="mystery"):
             Config.from_dict({"domain": "x.test", "mystery": 1})
 
+    @pytest.mark.parametrize(
+        "key", ["skew_seconds", "max_attempts", "retry_base_seconds", "resolve_ttl_seconds"]
+    )
+    def test_retired_tuning_keys_are_unknown(self, key):
+        # These are module constants now, not settings.
+        with pytest.raises(ConfigError, match=key):
+            Config.from_dict({"domain": "x.test", key: 1})
+
     def test_domain_is_required(self):
         with pytest.raises(ConfigError):
             Config.from_dict({"port": 8420})
@@ -117,9 +126,6 @@ class TestConfig:
             {"port": 70000},
             {"storage_backend": "redis"},
             {"storage_backend": "file"},
-            {"skew_seconds": 0.0},
-            {"retry_base_seconds": -1.0},
-            {"max_attempts": 0},
             {"key_bits": 128},
         ],
     )
@@ -285,10 +291,53 @@ class TestMainCommands:
         base = ["--domain", "cli.test", "--store", f"file:{store_path}"]
         assert main(base + ["user", "create", "alice"]) == 0
         before = open_store("file", store_path).get_local_account("alice")
-        assert main(base + ["keygen", "alice"]) == 0
+        assert main(base + ["keygen", "ALICE"]) == 0
         assert "rotated keypair" in capsys.readouterr().out
-        after = open_store("file", store_path).get_local_account("alice")
+        store = open_store("file", store_path)
+        after = store.get_local_account("alice")
         assert after.public_key_pem != before.public_key_pem
+        # Names match case-insensitively; the pair is kept under the account's own name.
+        assert store.keypair("alice")[1] == after.public_key_pem
+        store.close()
+
+    def test_a_crash_inside_keygen_keeps_the_old_key_pair(self, tmp_path, monkeypatch):
+        root, crashed = tmp_path / "store", tmp_path / "crashed"
+        config = Config(
+            domain="cli.test", storage_backend="file", storage_path=str(root), key_bits=1024
+        )
+        node = InstanceNode(config)
+        statements = []
+        node.store._db.set_trace_callback(statements.append)
+        node.create_user("alice")
+        assert statements.count("COMMIT") == 1
+        old_private, old_public = node.store.keypair("alice")
+        node.close()
+
+        statements.clear()
+        write = FileStore._write
+
+        def write_then_copy(store, collection, key, value):
+            # Copy the files as a crash right after the account row would leave them.
+            store._db.set_trace_callback(statements.append)
+            write(store, collection, key, value)
+            if collection == "accounts" and not crashed.exists():
+                shutil.copytree(root, crashed, ignore=shutil.ignore_patterns("*-shm"))
+
+        monkeypatch.setattr(FileStore, "_write", write_then_copy)
+        assert cmd_keygen(config, "alice") == 0
+        assert statements.count("COMMIT") == 1
+        monkeypatch.undo()
+
+        # The crash copy signs and publishes the old pair; it never mixes the two.
+        copy = FileStore(crashed)
+        assert copy.keypair("alice") == (old_private, old_public)
+        assert copy.get_local_account("alice").public_key_pem == old_public
+        copy.close()
+        live = FileStore(root)
+        private_pem, public_pem = live.keypair("alice")
+        assert private_pem != old_private
+        assert live.get_local_account("alice").public_key_pem == public_pem
+        live.close()
 
     def test_keygen_unknown_user(self, capsys):
         assert main(["--domain", "cli.test", "keygen", "ghost"]) == 1

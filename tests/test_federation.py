@@ -19,13 +19,13 @@ from mothfed.activitypub import (
 )
 from mothfed.config import Config
 from mothfed.errors import ActorMismatch, TombstonedActor, TransportError
-from mothfed.federation import FederationEngine, username_from_key_id
+from mothfed.federation import MAX_ATTEMPTS, FederationEngine, username_from_key_id
 from mothfed.httpsig import generate_rsa_keypair
 from mothfed.mastodon import Account, Mention, Status, Visibility
 from mothfed.storage import MemoryStore
 from mothfed.transport import HttpResponse
 
-from .support import FIXED_PUBLIC_PEM, expected_remote_inboxes, gen_status
+from .support import FIXED_PUBLIC_PEM, expected_remote_inboxes, gen_status, interactions_on
 
 LOCAL = "local.test"
 NOW = datetime(2024, 1, 1, tzinfo=timezone.utc)
@@ -251,7 +251,7 @@ def test_follow_is_accepted_and_acknowledged(world):
     assert relation.state == "accepted"
     assert relation.follow_activity_id == "http://b.test/follows/1"
 
-    tasks = store.pending_tasks()
+    tasks = store.all_tasks()
     assert len(tasks) == 1
     assert tasks[0].target_inbox == bob.inbox
     body = json.loads(tasks[0].activity_body)
@@ -279,7 +279,7 @@ def test_follow_of_unknown_or_remote_target_warns(world):
             follow_activity(bob, target, f"http://b.test/follows/{target[-5:]}"), bob
         )
         assert kinds(effects) == ["Warning"]
-    assert store.pending_tasks() == []
+    assert store.all_tasks() == []
 
 
 def test_accept_marks_our_outbound_follow_accepted(world):
@@ -348,7 +348,7 @@ def test_like_records_an_interaction_once(world):
     assert kinds(effects) == ["RecordInteraction"]
     again = engine.handle_inbox(like_activity(bob, target, "http://b.test/act/like2"), bob)
     assert kinds(again) == ["Warning"]
-    assert len(store.interactions_for(target)) == 1
+    assert len(interactions_on(store, target)) == 1
 
 
 def test_undo_like_by_its_author_removes_it(world):
@@ -364,7 +364,7 @@ def test_undo_like_by_its_author_removes_it(world):
     )
     effects = engine.handle_inbox(undo, bob)
     assert kinds(effects) == ["RemoveInteraction"]
-    assert store.interactions_for(target) == []
+    assert interactions_on(store, target) == []
 
 
 def test_undo_by_someone_else_restores_the_interaction(world):
@@ -381,7 +381,7 @@ def test_undo_by_someone_else_restores_the_interaction(world):
     )
     effects = engine.handle_inbox(undo, mallory)
     assert kinds(effects) == ["Warning"]
-    assert len(store.interactions_for(target)) == 1
+    assert len(interactions_on(store, target)) == 1
 
 
 def test_undo_follow_removes_the_relation(world):
@@ -740,9 +740,9 @@ def test_exhausted_retries_become_a_terminal_failure_with_reason(world):
     transport = ScriptedInboxes()
     transport.set(
         "http://b.test/users/bob/inbox",
-        [TransportError("down")] * engine.config.max_attempts,
+        [TransportError("down")] * MAX_ATTEMPTS,
     )
-    for _ in range(engine.config.max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         pending = store.next_pending_time()
         if pending is None:
             break
@@ -750,9 +750,9 @@ def test_exhausted_retries_become_a_terminal_failure_with_reason(world):
         engine.process_queue(clock(), transport)
     task = store.all_tasks()[0]
     assert task.terminal
-    assert task.attempts == engine.config.max_attempts
+    assert task.attempts == MAX_ATTEMPTS
     assert task.result == (
-        f"failed: network error: down after {engine.config.max_attempts} attempts"
+        f"failed: network error: down after {MAX_ATTEMPTS} attempts"
     )
 
 

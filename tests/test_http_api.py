@@ -285,6 +285,63 @@ def test_unfetchable_signer_is_401_actor_fetch_failed(node):
     assert body_json(response)["error"] == "ActorFetchFailed"
 
 
+def actor_fetches(node, uri="http://b.test/users/bob"):
+    return sum(1 for r in node.transport.requests if r.method == "GET" and r.url == uri)
+
+
+def test_a_peer_that_rotates_its_key_is_accepted_on_its_next_post(node):
+    root = install_remote(node.transport)
+    assert signed_inbox_post(node, bob_create(), BOB_KEY_ID, REMOTE_PRIVATE).status == 202
+    new_private, new_public = generate_rsa_keypair(1024)
+    node.transport.responses[root] = HttpResponse(
+        200, {"Content-Type": ACTIVITY_MEDIA_TYPE},
+        json.dumps(remote_actor_doc(public_pem=new_public)).encode(),
+    )
+    second = bob_create("http://b.test/users/bob/statuses/2")
+    assert signed_inbox_post(node, second, BOB_KEY_ID, new_private).status == 202
+    assert actor_fetches(node) == 2
+    # The fresh document replaced the cached one.
+    third = bob_create("http://b.test/users/bob/statuses/3")
+    assert signed_inbox_post(node, third, BOB_KEY_ID, new_private).status == 202
+    assert actor_fetches(node) == 2
+
+
+def test_a_forged_signature_costs_one_refetch_and_is_refused(node):
+    install_remote(node.transport)
+    forged_private, _ = generate_rsa_keypair(1024)
+    # Not cached yet: the document this request fetched is already fresh.
+    response = signed_inbox_post(node, bob_create(), BOB_KEY_ID, forged_private)
+    assert (response.status, body_json(response)["error"]) == (401, "BadSignature")
+    assert actor_fetches(node) == 1
+    # Cached: exactly one more fetch, and still refused.
+    response = signed_inbox_post(node, bob_create(), BOB_KEY_ID, forged_private)
+    assert (response.status, body_json(response)["error"]) == (401, "BadSignature")
+    assert actor_fetches(node) == 2
+
+
+def test_rejections_other_than_the_key_check_never_refetch(node):
+    install_remote(node.transport)
+    assert signed_inbox_post(node, bob_create(), BOB_KEY_ID, REMOTE_PRIVATE).status == 202
+    url = f"{BASE}/users/alice/inbox"
+    body = bob_create("http://b.test/users/bob/statuses/2").encode()
+    when = datetime.fromtimestamp(node.clock(), tz=timezone.utc)
+    _, headers = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_PRIVATE, when)
+    stale = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_PRIVATE,
+                         when - timedelta(hours=2))[1]
+    unsigned = {k: v for k, v in headers.items() if k != "Signature"}
+    no_host = {k: v for k, v in headers.items() if k != "Host"}
+    cases = [
+        (unsigned, body, "NoSignature"),
+        (stale, body, "StaleDate"),
+        (headers, body + b" ", "DigestMismatch"),
+        (no_host, body, "BadSignature"),
+    ]
+    for request_headers, request_body, reason in cases:
+        response = node.handle_http(HttpRequest("POST", url, request_headers, request_body))
+        assert (response.status, body_json(response)["error"]) == (401, reason)
+    assert actor_fetches(node) == 1
+
+
 def test_activity_actor_must_match_the_signer(node):
     install_remote(node.transport)
     forged = json.dumps(
@@ -506,7 +563,7 @@ def test_post_status_resolves_remote_mentions_and_fans_out(node):
     ]
     assert "warnings" not in data
     assert node.pending_deliveries() == 1
-    task = node.store.pending_tasks()[0]
+    task = node.store.all_tasks()[0]
     assert task.target_inbox == "http://b.test/users/bob/inbox"
     activity = parse_activity(task.activity_body)
     assert activity.kind.value == "Create"
@@ -607,7 +664,7 @@ def test_follow_remote_account_enqueues_a_follow_activity(node):
         "id": looked_up["id"], "following": False, "requested": True
     }
     assert node.pending_deliveries() == 1
-    task = node.store.pending_tasks()[0]
+    task = node.store.all_tasks()[0]
     activity = parse_activity(task.activity_body)
     assert activity.kind.value == "Follow"
     assert activity.object == "http://b.test/users/bob"

@@ -154,6 +154,36 @@ def test_wrong_key_is_a_bad_signature():
     assert exc_info.value.reason == "BadSignature"
 
 
+def test_a_key_that_fails_is_checked_once_against_a_refetched_document():
+    rotated_private, rotated_public = generate_rsa_keypair(1024)
+    asked = []
+
+    def refetch(uri, pem=rotated_public):
+        asked.append(uri)
+        return actor_with_key(pem)
+
+    def verify(private_pem, actor_refetch, pem=FIXED_PUBLIC_PEM):
+        return verify_signature(
+            "POST", TARGET, signed(private_pem=private_pem), BODY, fetcher(pem), NOW,
+            actor_refetch=actor_refetch,
+        )
+
+    assert verify(rotated_private, refetch).public_key.pem == rotated_public
+    assert asked == [ACTOR_URI]
+    # A key that verifies, or one that cannot be used, is never refetched.
+    verify(FIXED_PRIVATE_PEM, refetch)
+    with pytest.raises(BadSignature, match="unusable"):
+        verify(rotated_private, refetch, pem="not a pem")
+    assert asked == [ACTOR_URI]
+    # A refetched document that still fails, or none at all, is a BadSignature.
+    forged_private, _ = generate_rsa_keypair(1024)
+    with pytest.raises(BadSignature, match="does not verify"):
+        verify(forged_private, refetch)
+    assert asked == [ACTOR_URI] * 2
+    with pytest.raises(BadSignature, match="does not verify"):
+        verify(rotated_private, lambda uri: None)
+
+
 def test_garbage_key_pem_is_a_bad_signature():
     headers = signed()
     with pytest.raises(BadSignature):

@@ -3,7 +3,7 @@ import os
 import random
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -12,7 +12,7 @@ from mothfed.errors import DuplicateUri, StorageUnavailable, TombstonedActor, Un
 from mothfed.mastodon import Account, Mention, Status, Visibility
 from mothfed.storage import FileStore, MemoryStore, open_store
 
-from .support import may_view
+from .support import interactions_on, may_view
 
 NOW = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
@@ -96,9 +96,10 @@ def test_local_account_lookup_survives_reopen_and_ignores_remotes_and_the_delete
 
 
 def test_local_accounts_excludes_remotes(store):
-    store.upsert_account(account("alice"))
+    alice = store.upsert_account(account("alice"))
     store.upsert_account(account("bob", domain="b.test"))
-    assert [a.username for a in store.local_accounts()] == ["alice"]
+    assert store.get_local_account("alice") == alice
+    assert store.get_local_account("bob") is None
 
 
 # --- statuses ------------------------------------------------------------------
@@ -311,7 +312,7 @@ def test_record_interaction_dedupes_by_kind_actor_object(store):
     assert store.record_interaction(
         "Announce", "https://b.test/users/bob", "https://a.test/s/1", "https://b.test/act/3", 2.0
     )
-    assert len(store.interactions_for("https://a.test/s/1")) == 2
+    assert len(interactions_on(store, "https://a.test/s/1")) == 2
 
 
 def test_remove_interaction_by_activity_and_restore(store):
@@ -320,9 +321,9 @@ def test_remove_interaction_by_activity_and_restore(store):
     )
     item = store.remove_interaction_by_activity("https://b.test/act/1")
     assert item is not None and item.kind == "Like"
-    assert store.interactions_for("https://a.test/s/1") == []
+    assert interactions_on(store, "https://a.test/s/1") == []
     store.restore_interaction(item)
-    assert store.interactions_for("https://a.test/s/1") == [item]
+    assert interactions_on(store, "https://a.test/s/1") == [asdict(item)]
     assert store.remove_interaction_by_activity("https://nope") is None
 
 
@@ -486,7 +487,7 @@ def test_concurrent_upserts_converge_to_one_account(store):
     hammer(24, upsert)
     ids = {a.id for a in results}
     assert len(ids) == 1
-    assert len(store.local_accounts()) == 1
+    assert len(json.loads(store.snapshot())["accounts"]) == 1
 
 
 def test_concurrent_record_seen_admits_exactly_one(store):
@@ -556,12 +557,15 @@ def test_file_store_persists_deletion_resync(tmp_path):
 
 
 def test_file_store_private_key_files_are_restricted(tmp_path):
+    """A key pair lives only in the store's table, and survives reopen from it."""
     disk = FileStore(tmp_path / "store")
     disk.save_keypair("alice", "PRIV", "PUB")
-    private = tmp_path / "store" / "keys" / "alice.pem"
-    assert private.read_text() == "PRIV"
-    assert private.stat().st_mode & 0o077 == 0  # no group/other access
-    assert (tmp_path / "store" / "keys" / "alice.pub.pem").exists()
+    disk.close()
+    assert sorted(p.name for p in (tmp_path / "store").iterdir()) == ["store.sqlite3"]
+    reopened = FileStore(tmp_path / "store")
+    assert reopened.keypair("alice") == ("PRIV", "PUB")
+    reopened.close()
+    assert not (tmp_path / "store" / "keys").exists()
 
 
 def test_open_store_backends(tmp_path):
@@ -583,21 +587,19 @@ def test_snapshot_is_deterministic_json(store):
     assert set(data) >= {"accounts", "statuses", "follows", "tasks", "tombstones"}
 
 
-def test_file_store_private_key_is_created_restricted(tmp_path, monkeypatch):
-    """The private key file is 0600 from its creation, not narrowed afterwards."""
-    disk = FileStore(tmp_path / "store")
-    keys = tmp_path / "store" / "keys"
-    (keys / "alice.pem.tmp").write_text("stale")  # left by an interrupted write
-    monkeypatch.setattr(os, "chmod", lambda *args, **kwargs: None)
+def test_file_store_private_key_is_created_restricted(tmp_path):
+    """The store's files hold tokens and private keys: only the owner may read them."""
+    root = tmp_path / "store"
     previous = os.umask(0o022)
     try:
+        disk = FileStore(root)
         disk.save_keypair("alice", "PRIV", "PUB")
+        names = ["store.sqlite3", "store.sqlite3-wal", "store.sqlite3-shm"]
+        modes = {name: (root / name).stat().st_mode & 0o777 for name in names}
+        disk.close()
     finally:
         os.umask(previous)
-    assert (keys / "alice.pem").read_text() == "PRIV"
-    assert (keys / "alice.pem").stat().st_mode & 0o777 == 0o600
-    assert not (keys / "alice.pem.tmp").exists()
-    disk.close()
+    assert modes == {name: 0o600 for name in names}
 
 
 def test_unchanged_account_and_peer_are_not_written_again():
@@ -710,6 +712,15 @@ def test_file_store_refuses_the_old_json_layout(tmp_path):
     with pytest.raises(StorageUnavailable, match="counters.json"):
         FileStore(root)
     assert not (root / "store.sqlite3").exists()
+
+
+def test_file_store_refuses_key_files_of_the_old_layout(tmp_path):
+    root = tmp_path / "store"
+    FileStore(root).close()
+    (root / "keys").mkdir()
+    (root / "keys" / "alice.pem").write_text("PRIV")
+    with pytest.raises(StorageUnavailable, match="keys"):
+        FileStore(root)
 
 
 def test_file_store_reports_a_corrupt_database_as_unavailable(tmp_path):

@@ -126,13 +126,17 @@ class TestConfig:
             {"port": 70000},
             {"storage_backend": "redis"},
             {"storage_backend": "file"},
+            # Retired tuning keys: refused as unknown before validation.
+            {"skew_seconds": 0.0},
+            {"retry_base_seconds": -1.0},
+            {"max_attempts": 0},
             {"key_bits": 128},
         ],
     )
     def test_validate_rejects(self, overrides):
         values = {"domain": "ok.test", **overrides}
         with pytest.raises(ConfigError):
-            Config(**values).validate()
+            Config.from_dict(values)
 
     def test_base_url_scheme_follows_test_mode(self):
         assert Config(domain="x.test").base_url == "https://x.test"

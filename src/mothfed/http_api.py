@@ -248,8 +248,10 @@ class HttpApi:
         cached: set[str] = set()
 
         def fetch(uri: str) -> Actor:
-            if node.cached_actor(uri) is not None:
+            found = node.cached_actor(uri)
+            if found is not None:
                 cached.add(uri)
+                return found
             return node.fetch_actor(uri)
 
         def refetch(uri: str) -> Actor | None:

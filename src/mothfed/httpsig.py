@@ -148,7 +148,6 @@ def verify_signature(
     body: bytes,
     actor_fetch: Callable[[str], Actor],
     now: datetime,
-    skew_seconds: float = SKEW_SECONDS,
     actor_refetch: Callable[[str], Actor | None] | None = None,
 ) -> Actor:
     """Verify a signed request and return the actor owning the signing key.
@@ -177,8 +176,8 @@ def verify_signature(
     if request_time.tzinfo is None:
         request_time = request_time.replace(tzinfo=timezone.utc)
     offset = abs((now.astimezone(timezone.utc) - request_time).total_seconds())
-    if offset > skew_seconds:
-        raise StaleDate(f"Date is {offset:.0f}s from now (window {skew_seconds:.0f}s)")
+    if offset > SKEW_SECONDS:
+        raise StaleDate(f"Date is {offset:.0f}s from now (window {SKEW_SECONDS:.0f}s)")
 
     claimed_digest = lowered.get("digest")
     if not claimed_digest:

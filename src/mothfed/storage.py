@@ -19,7 +19,7 @@ import json
 import os
 import sqlite3
 import threading
-from contextlib import AbstractContextManager
+from contextlib import AbstractContextManager, suppress
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -734,8 +734,12 @@ class FileStore(MemoryStore):
             )
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            # SQLite gives -wal and -shm the mode of the database file.
+            # SQLite gives -wal and -shm the mode of the database file; a file
+            # made by an earlier version, and any -wal or -shm it left, is narrowed.
             os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o600))
+            for name in (path.name, f"{path.name}-wal", f"{path.name}-shm"):
+                with suppress(FileNotFoundError):
+                    os.chmod(self.root / name, 0o600)
         except OSError as exc:
             raise StorageUnavailable(f"cannot prepare storage root {root}: {exc}") from exc
         try:

@@ -104,14 +104,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="mystery"):
             Config.from_dict({"domain": "x.test", "mystery": 1})
 
-    @pytest.mark.parametrize(
-        "key", ["skew_seconds", "max_attempts", "retry_base_seconds", "resolve_ttl_seconds"]
-    )
-    def test_retired_tuning_keys_are_unknown(self, key):
-        # These are module constants now, not settings.
-        with pytest.raises(ConfigError, match=key):
-            Config.from_dict({"domain": "x.test", key: 1})
-
     def test_domain_is_required(self):
         with pytest.raises(ConfigError):
             Config.from_dict({"port": 8420})
@@ -131,6 +123,7 @@ class TestConfig:
             {"retry_base_seconds": -1.0},
             {"max_attempts": 0},
             {"key_bits": 128},
+            {"resolve_ttl_seconds": 1.0},
         ],
     )
     def test_validate_rejects(self, overrides):

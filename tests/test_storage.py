@@ -588,18 +588,29 @@ def test_snapshot_is_deterministic_json(store):
 
 
 def test_file_store_private_key_is_created_restricted(tmp_path):
-    """The store's files hold tokens and private keys: only the owner may read them."""
+    """The store's files hold tokens and private keys: only the owner may read them,
+    also when an earlier version left them readable by others."""
     root = tmp_path / "store"
-    previous = os.umask(0o022)
-    try:
+    names = ["store.sqlite3", "store.sqlite3-wal", "store.sqlite3-shm"]
+
+    def modes_after_a_write():
         disk = FileStore(root)
         disk.save_keypair("alice", "PRIV", "PUB")
-        names = ["store.sqlite3", "store.sqlite3-wal", "store.sqlite3-shm"]
         modes = {name: (root / name).stat().st_mode & 0o777 for name in names}
         disk.close()
+        return modes
+
+    previous = os.umask(0o022)
+    try:
+        created = modes_after_a_write()
+        for name in names:
+            (root / name).touch()
+            (root / name).chmod(0o644)
+        reopened = modes_after_a_write()
     finally:
         os.umask(previous)
-    assert modes == {name: 0o600 for name in names}
+    assert created == {name: 0o600 for name in names}
+    assert reopened == {name: 0o600 for name in names}
 
 
 def test_unchanged_account_and_peer_are_not_written_again():

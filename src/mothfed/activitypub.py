@@ -30,7 +30,6 @@ SECURITY_CONTEXT = "https://w3id.org/security/v1"
 PUBLIC_COLLECTION = "https://www.w3.org/ns/activitystreams#Public"
 
 ACTIVITY_MEDIA_TYPE = "application/activity+json"
-LD_MEDIA_TYPE = 'application/ld+json; profile="https://www.w3.org/ns/activitystreams"'
 JRD_MEDIA_TYPE = "application/jrd+json"
 
 

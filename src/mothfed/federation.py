@@ -159,8 +159,13 @@ class FederationEngine:
             return [_warning("Create without an embedded Note ignored")]
         if note.attributed_to != sender.actor_uri:
             return [_warning("Create for a Note attributed to someone else ignored")]
+        parent = store.get_status_by_uri(note.in_reply_to) if note.in_reply_to else None
         status, warnings = note_to_status(
-            note, sender, store.get_account_by_uri, received_at=self._now_dt()
+            note,
+            sender,
+            store.get_account_by_uri,
+            received_at=self._now_dt(),
+            in_reply_to_id=parent.id if parent else None,
         )
         try:
             stored = store.store_status(status)
@@ -325,16 +330,15 @@ class FederationEngine:
             for inbox in inboxes
         ]
 
-    def fan_out(
-        self,
-        status: Status,
-        author: Account,
-        in_reply_to_uri: str | None = None,
-    ) -> list[DeliveryTask]:
-        """Delivery tasks for a freshly stored local status."""
-        store = self.store
-        note = status_to_note(status, author, in_reply_to_uri=in_reply_to_uri)
-        activity = Activity(
+    def create_activity(self, status: Status, author: Account) -> Activity:
+        """The Create that publishes a local status; a reply names its parent's URI."""
+        parent = (
+            self.store.get_status(status.in_reply_to_id)
+            if status.in_reply_to_id is not None
+            else None
+        )
+        note = status_to_note(status, author, in_reply_to_uri=parent.uri if parent else None)
+        return Activity(
             id=f"{status.uri}/activity",
             kind=ActivityKind.CREATE,
             actor=author.actor_uri,
@@ -343,6 +347,11 @@ class FederationEngine:
             cc=note.cc,
             published=status.created_at,
         )
+
+    def fan_out(self, status: Status, author: Account) -> list[DeliveryTask]:
+        """Delivery tasks for a freshly stored local status."""
+        store = self.store
+        activity = self.create_activity(status, author)
 
         targets: dict[str, Account] = {}
         if status.visibility in (Visibility.PUBLIC, Visibility.FOLLOWERS):

@@ -46,7 +46,6 @@ from .mastodon import (
     extract_mentions,
     extract_tags,
     sanitize_html,
-    status_to_note,
 )
 from .transport import HttpRequest, HttpResponse
 
@@ -133,7 +132,7 @@ class HttpApi:
             max_id = int(raw_max) if raw_max is not None else None
         except ValueError:
             return _error(400, "BadParameter", "limit and max_id must be integers")
-        return max(1, min(limit, 40)), max_id
+        return limit, max_id
 
     def _render_account(self, account: Account) -> dict[str, Any]:
         return {
@@ -278,16 +277,7 @@ class HttpApi:
         for status in self.node.store.statuses_by_account(found.id):
             if status.visibility is not Visibility.PUBLIC:
                 continue
-            note = status_to_note(status, found)
-            activity = Activity(
-                id=f"{status.uri}/activity",
-                kind=ActivityKind.CREATE,
-                actor=found.actor_uri,
-                object=note,
-                to=note.to,
-                cc=note.cc,
-                published=status.created_at,
-            )
+            activity = self.node.engine.create_activity(status, found)
             items.append(to_wire_dict(activity, with_context=False))
         collection = {
             "@context": AS_CONTEXT,
@@ -346,7 +336,7 @@ class HttpApi:
             or status.visibility is not Visibility.PUBLIC
         ):
             return _error(404, "NotFound", "no such public status")
-        note = status_to_note(status, found)
+        note = self.node.engine.create_activity(status, found).object
         return _json_response(200, to_wire_dict(note), ACTIVITY_MEDIA_TYPE)
 
     # --- client API -----------------------------------------------------------------
@@ -372,17 +362,14 @@ class HttpApi:
             return _error(422, "InvalidVisibility", f"unknown visibility {visibility_name!r}")
 
         in_reply_to_id = None
-        in_reply_to_uri = None
         raw_reply = payload.get("in_reply_to_id")
         if raw_reply is not None:
             try:
                 in_reply_to_id = int(raw_reply)
             except (TypeError, ValueError):
                 return _error(422, "UnknownInReplyTo", f"bad in_reply_to_id {raw_reply!r}")
-            parent = self.node.store.get_status(in_reply_to_id)
-            if parent is None:
+            if self.node.store.get_status(in_reply_to_id) is None:
                 return _error(422, "UnknownInReplyTo", f"no status {in_reply_to_id}")
-            in_reply_to_uri = parent.uri
 
         mentions, warnings = self._resolve_mentions(text)
         if visibility is Visibility.DIRECT and not mentions:
@@ -409,7 +396,7 @@ class HttpApi:
                 )
             )
             self.node.engine.local_fan_in(stored, author, include_author=True)
-            self.node.engine.fan_out(stored, author, in_reply_to_uri=in_reply_to_uri)
+            self.node.engine.fan_out(stored, author)
 
         rendered = self._render_status(stored)
         if warnings:
@@ -527,12 +514,10 @@ class HttpApi:
         except MalformedHandle as exc:
             return _error(404, "MalformedHandle", str(exc))
         if handle.domain == self.node.domain.lower():
-            account = self.node.store.get_local_account(handle.username)
-            if account is None:
-                if self.node.store.is_tombstoned(self.node.actor_uri_for(handle.username)):
-                    return _error(410, "Gone", f"account {handle.username} was deleted")
-                return _error(404, "UnknownUser", f"no local account {handle.username}")
-            return _json_response(200, self._render_account(account))
+            found = self._local_account_or_error(handle.username)
+            if isinstance(found, HttpResponse):
+                return found
+            return _json_response(200, self._render_account(found))
         try:
             account = self.node.resolve_account(handle)
         except (ResolutionFailed, ActorFetchFailed) as exc:

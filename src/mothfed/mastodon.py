@@ -32,10 +32,6 @@ class Visibility(str, Enum):
     FOLLOWERS = "followers"
     DIRECT = "direct"
 
-    @property
-    def rank(self) -> int:
-        return {"public": 2, "followers": 1, "direct": 0}[self.value]
-
 
 @dataclass(frozen=True, slots=True)
 class Account:

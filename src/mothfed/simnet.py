@@ -137,7 +137,7 @@ class VirtualNet:
             key_bits=self.key_bits,
         )
 
-    def spawn_instance(self, domain: str, users: list[str] | None = None) -> InstanceNode:
+    def _start_instance(self, domain: str, users: list[str]) -> InstanceNode:
         if domain in self.instances:
             raise DuplicateDomain(domain)
         node = InstanceNode(
@@ -145,10 +145,15 @@ class VirtualNet:
             transport=VirtualTransport(self, domain),
             clock=self.clock.now,
         )
-        for username in users or []:
+        for username in users:
             node.ensure_user(username, token=self._token_for(domain, username))
         self.instances[domain] = node
-        self._instance_users[domain] = list(users or [])
+        return node
+
+    def spawn_instance(self, domain: str, users: list[str] | None = None) -> InstanceNode:
+        users = list(users or [])
+        node = self._start_instance(domain, users)
+        self._instance_users[domain] = users
         return node
 
     def kill_instance(self, domain: str) -> None:
@@ -157,17 +162,7 @@ class VirtualNet:
 
     def respawn_instance(self, domain: str) -> InstanceNode:
         """Bring a killed instance back over the same storage root."""
-        if domain in self.instances:
-            raise DuplicateDomain(domain)
-        node = InstanceNode(
-            self._config_for(domain),
-            transport=VirtualTransport(self, domain),
-            clock=self.clock.now,
-        )
-        for username in self._instance_users.get(domain, []):
-            node.ensure_user(username, token=self._token_for(domain, username))
-        self.instances[domain] = node
-        return node
+        return self._start_instance(domain, self._instance_users.get(domain, []))
 
     def node(self, domain: str) -> InstanceNode:
         return self.instances[domain]

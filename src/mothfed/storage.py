@@ -20,7 +20,7 @@ import os
 import sqlite3
 import threading
 from contextlib import AbstractContextManager, suppress
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterable
@@ -130,40 +130,19 @@ class MemoryStore:
         with self._lock:
             existing_id = self._account_by_uri.get(account.actor_uri)
             if existing_id is not None:
-                previous = self._accounts[existing_id]
-                stored = Account(
-                    id=existing_id,
-                    username=account.username,
-                    acct=account.acct,
-                    display_name=account.display_name,
-                    actor_uri=account.actor_uri,
-                    inbox_uri=account.inbox_uri,
-                    public_key_pem=account.public_key_pem,
-                    created_at=previous.created_at,
-                )
+                created_at = self._accounts[existing_id].created_at
+                stored = replace(account, id=existing_id, created_at=created_at)
+            elif account.id is None:
+                stored = replace(account, id=self.next_sequence("account"))
             else:
-                new_id = account.id if account.id is not None else self.next_sequence("account")
-                stored = Account(
-                    id=new_id,
-                    username=account.username,
-                    acct=account.acct,
-                    display_name=account.display_name,
-                    actor_uri=account.actor_uri,
-                    inbox_uri=account.inbox_uri,
-                    public_key_pem=account.public_key_pem,
-                    created_at=account.created_at,
-                )
-            assert stored.id is not None
-            if self._accounts.get(stored.id) != stored:
+                stored = account
+            previous = self._accounts.get(stored.id)
+            if previous != stored:
+                if previous is not None:
+                    self._unindex_account(previous)
                 self._index_account(stored)
                 self._write("accounts", stored.id, stored)
             return stored
-
-    def _index_account(self, account: Account) -> None:
-        self._accounts[account.id] = account
-        self._account_by_uri[account.actor_uri] = account.id
-        if not account.is_remote:
-            self._local_by_name[account.username.lower()] = account.id
 
     def get_account(self, account_id: int) -> Account | None:
         with self._lock:
@@ -193,22 +172,8 @@ class MemoryStore:
             status_id = status.id
             if status_id is None:
                 status_id = self.next_status_id(status.created_at.timestamp())
-            stored = Status(
-                id=status_id,
-                uri=status.uri,
-                content=status.content,
-                account_id=status.account_id,
-                visibility=status.visibility,
-                mentions=status.mentions,
-                tags=status.tags,
-                created_at=status.created_at,
-                in_reply_to_id=status.in_reply_to_id,
-            )
-            self._statuses[status_id] = stored
-            if stored.uri:
-                self._status_by_uri[stored.uri] = status_id
-            for tag in stored.tags:
-                self._tag_index.setdefault(tag, []).append(status_id)
+            stored = replace(status, id=status_id)
+            self._index_status(stored)
             self._write("statuses", status_id, stored)
             return stored
 
@@ -307,16 +272,8 @@ class MemoryStore:
             existing_id = self._follow_by_pair.get(pair)
             if existing_id is not None:
                 previous = self._follows[existing_id]
-                if previous.follow_activity_id != follow_activity_id:
-                    self._follow_by_activity.pop(previous.follow_activity_id, None)
-                relation = FollowRelation(
-                    id=existing_id,
-                    follower_actor_uri=follower_actor_uri,
-                    followee_account_id=followee_account_id,
-                    state=state,
-                    follow_activity_id=follow_activity_id,
-                    created_at=previous.created_at,
-                )
+                self._unindex_follow(previous)
+                relation = replace(previous, state=state, follow_activity_id=follow_activity_id)
             else:
                 relation = FollowRelation(
                     id=self.next_sequence("follow"),
@@ -326,10 +283,7 @@ class MemoryStore:
                     follow_activity_id=follow_activity_id,
                     created_at=created_at,
                 )
-            self._follows[relation.id] = relation
-            self._follow_by_pair[pair] = relation.id
-            if relation.follow_activity_id:
-                self._follow_by_activity[relation.follow_activity_id] = relation.id
+            self._index_follow(relation)
             self._write("follows", relation.id, relation)
             return relation
 
@@ -338,15 +292,8 @@ class MemoryStore:
             relation = self._follows.get(follow_id)
             if relation is None:
                 return None
-            updated = FollowRelation(
-                id=relation.id,
-                follower_actor_uri=relation.follower_actor_uri,
-                followee_account_id=relation.followee_account_id,
-                state=state,
-                follow_activity_id=relation.follow_activity_id,
-                created_at=relation.created_at,
-            )
-            self._follows[follow_id] = updated
+            updated = replace(relation, state=state)
+            self._index_follow(updated)
             self._write("follows", follow_id, updated)
             return updated
 
@@ -362,13 +309,10 @@ class MemoryStore:
 
     def remove_follow(self, follow_id: int) -> bool:
         with self._lock:
-            relation = self._follows.pop(follow_id, None)
+            relation = self._follows.get(follow_id)
             if relation is None:
                 return False
-            self._follow_by_pair.pop(
-                (relation.follower_actor_uri, relation.followee_account_id), None
-            )
-            self._follow_by_activity.pop(relation.follow_activity_id, None)
+            self._unindex_follow(relation)
             self._write("follows", follow_id, None)
             return True
 
@@ -406,19 +350,12 @@ class MemoryStore:
                 activity_id=activity_id,
                 created_at=created_at,
             )
-            self._interactions[item.id] = item
-            self._interaction_by_key[key] = item.id
-            if activity_id:
-                self._interaction_by_activity[activity_id] = item.id
-            self._write("interactions", item.id, item)
+            self.restore_interaction(item)
             return True
 
     def restore_interaction(self, item: Interaction) -> None:
         with self._lock:
-            self._interactions[item.id] = item
-            self._interaction_by_key[(item.kind, item.actor_uri, item.object_uri)] = item.id
-            if item.activity_id:
-                self._interaction_by_activity[item.activity_id] = item.id
+            self._index_interaction(item)
             self._write("interactions", item.id, item)
 
     def remove_interaction_by_activity(self, activity_id: str) -> Interaction | None:
@@ -426,9 +363,8 @@ class MemoryStore:
             item_id = self._interaction_by_activity.get(activity_id)
             if item_id is None:
                 return None
-            item = self._interactions.pop(item_id)
-            self._interaction_by_activity.pop(activity_id, None)
-            self._interaction_by_key.pop((item.kind, item.actor_uri, item.object_uri), None)
+            item = self._interactions[item_id]
+            self._unindex_interaction(item)
             self._write("interactions", item_id, None)
             return item
 
@@ -476,11 +412,7 @@ class MemoryStore:
 
     def save_token(self, account_id: int, token: str) -> None:
         with self._lock:
-            previous = self._token_by_account.pop(account_id, None)
-            if previous is not None:
-                self._tokens.pop(previous, None)
-            self._tokens[token] = account_id
-            self._token_by_account[account_id] = token
+            self._index_token(account_id, token)
             self._write("tokens", account_id, (account_id, token))
 
     def account_id_for_token(self, token: str) -> int | None:
@@ -507,73 +439,49 @@ class MemoryStore:
             account_id = self._account_by_uri.get(actor_uri)
             if account_id is None:
                 return report
-            account = self._accounts.pop(account_id)
-            self._account_by_uri.pop(actor_uri, None)
-            if not account.is_remote:
-                self._local_by_name.pop(account.username.lower(), None)
+            self._unindex_account(self._accounts[account_id])
             self._write("accounts", account_id, None)
             report["account"] = 1
 
-            dead_status_ids = [
-                s.id for s in self._statuses.values()
-                if s.account_id == account_id and s.id is not None
-            ]
-            dead_status_uris = set()
-            for status_id in dead_status_ids:
-                status = self._statuses.pop(status_id)
-                self._write("statuses", status_id, None)
-                if status.uri:
-                    self._status_by_uri.pop(status.uri, None)
-                    dead_status_uris.add(status.uri)
-                for tag in status.tags:
-                    ids = self._tag_index.get(tag)
-                    if ids and status_id in ids:
-                        ids.remove(status_id)
-                        if not ids:
-                            self._tag_index.pop(tag, None)
-            report["statuses"] = len(dead_status_ids)
+            dead_statuses = [s for s in self._statuses.values() if s.account_id == account_id]
+            for status in dead_statuses:
+                self._unindex_status(status)
+                self._write("statuses", status.id, None)
+            report["statuses"] = len(dead_statuses)
 
             # Their own timeline, plus their statuses in everyone else's.
             for status_id in self._timelines.pop(account_id, {}):
                 self._write("timelines", (account_id, status_id), None)
                 report["timeline_entries"] += 1
-            dead = set(dead_status_ids)
+            dead = {s.id for s in dead_statuses}
             for owner_id, timeline in self._timelines.items():
                 for status_id in dead.intersection(timeline):
                     timeline.pop(status_id)
                     self._write("timelines", (owner_id, status_id), None)
                     report["timeline_entries"] += 1
 
-            dead_follow_ids = [
-                r.id
+            dead_follows = [
+                r
                 for r in self._follows.values()
                 if r.follower_actor_uri == actor_uri or r.followee_account_id == account_id
             ]
-            for follow_id in dead_follow_ids:
-                relation = self._follows.pop(follow_id)
-                self._write("follows", follow_id, None)
-                self._follow_by_pair.pop(
-                    (relation.follower_actor_uri, relation.followee_account_id), None
-                )
-                self._follow_by_activity.pop(relation.follow_activity_id, None)
-            report["follows"] = len(dead_follow_ids)
+            for relation in dead_follows:
+                self._unindex_follow(relation)
+                self._write("follows", relation.id, None)
+            report["follows"] = len(dead_follows)
 
-            dead_interaction_ids = [
-                i.id
+            dead_status_uris = {s.uri for s in dead_statuses if s.uri}
+            dead_interactions = [
+                i
                 for i in self._interactions.values()
                 if i.actor_uri == actor_uri or i.object_uri in dead_status_uris
             ]
-            for item_id in dead_interaction_ids:
-                item = self._interactions.pop(item_id)
-                self._write("interactions", item_id, None)
-                self._interaction_by_key.pop((item.kind, item.actor_uri, item.object_uri), None)
-                if item.activity_id:
-                    self._interaction_by_activity.pop(item.activity_id, None)
-            report["interactions"] = len(dead_interaction_ids)
+            for item in dead_interactions:
+                self._unindex_interaction(item)
+                self._write("interactions", item.id, None)
+            report["interactions"] = len(dead_interactions)
 
-            token = self._token_by_account.pop(account_id, None)
-            if token is not None:
-                self._tokens.pop(token, None)
+            if self._unindex_token(account_id) is not None:
                 self._write("tokens", account_id, None)
                 report["tokens"] = 1
 
@@ -623,6 +531,74 @@ class MemoryStore:
     def all_tasks(self) -> list[DeliveryTask]:
         with self._lock:
             return sorted(self._tasks.values(), key=lambda t: t.task_id)
+
+    # --- indexes ----------------------------------------------------------------------
+    # Each indexed collection enters and leaves its dicts through one pair of
+    # helpers, shared by the mutators, delete_account_data and FileStore._load.
+
+    def _index_account(self, account: Account) -> None:
+        self._accounts[account.id] = account
+        self._account_by_uri[account.actor_uri] = account.id
+        if not account.is_remote:
+            self._local_by_name[account.username.lower()] = account.id
+
+    def _unindex_account(self, account: Account) -> None:
+        del self._accounts[account.id]
+        self._account_by_uri.pop(account.actor_uri, None)
+        if not account.is_remote:
+            self._local_by_name.pop(account.username.lower(), None)
+
+    def _index_status(self, status: Status) -> None:
+        self._statuses[status.id] = status
+        if status.uri:
+            self._status_by_uri[status.uri] = status.id
+        for tag in status.tags:
+            self._tag_index.setdefault(tag, []).append(status.id)
+
+    def _unindex_status(self, status: Status) -> None:
+        del self._statuses[status.id]
+        if status.uri:
+            self._status_by_uri.pop(status.uri, None)
+        for tag in status.tags:
+            ids = self._tag_index.get(tag)
+            if ids and status.id in ids:
+                ids.remove(status.id)
+                if not ids:
+                    del self._tag_index[tag]
+
+    def _index_follow(self, relation: FollowRelation) -> None:
+        self._follows[relation.id] = relation
+        pair = (relation.follower_actor_uri, relation.followee_account_id)
+        self._follow_by_pair[pair] = relation.id
+        if relation.follow_activity_id:
+            self._follow_by_activity[relation.follow_activity_id] = relation.id
+
+    def _unindex_follow(self, relation: FollowRelation) -> None:
+        del self._follows[relation.id]
+        self._follow_by_pair.pop((relation.follower_actor_uri, relation.followee_account_id), None)
+        self._follow_by_activity.pop(relation.follow_activity_id, None)
+
+    def _index_interaction(self, item: Interaction) -> None:
+        self._interactions[item.id] = item
+        self._interaction_by_key[(item.kind, item.actor_uri, item.object_uri)] = item.id
+        if item.activity_id:
+            self._interaction_by_activity[item.activity_id] = item.id
+
+    def _unindex_interaction(self, item: Interaction) -> None:
+        del self._interactions[item.id]
+        self._interaction_by_key.pop((item.kind, item.actor_uri, item.object_uri), None)
+        self._interaction_by_activity.pop(item.activity_id, None)
+
+    def _index_token(self, account_id: int, token: str) -> None:
+        self._unindex_token(account_id)
+        self._tokens[token] = account_id
+        self._token_by_account[account_id] = token
+
+    def _unindex_token(self, account_id: int) -> str | None:
+        token = self._token_by_account.pop(account_id, None)
+        if token is not None:
+            self._tokens.pop(token, None)
+        return token
 
     # --- snapshot and lifecycle --------------------------------------------------------
 
@@ -767,26 +743,11 @@ class FileStore(MemoryStore):
                 case "accounts":
                     self._index_account(account_from_record(data))
                 case "statuses":
-                    status = status_from_record(data)
-                    self._statuses[status.id] = status
-                    if status.uri:
-                        self._status_by_uri[status.uri] = status.id
-                    for tag in status.tags:
-                        self._tag_index.setdefault(tag, []).append(status.id)
+                    self._index_status(status_from_record(data))
                 case "follows":
-                    relation = FollowRelation(**data)
-                    self._follows[relation.id] = relation
-                    self._follow_by_pair[
-                        (relation.follower_actor_uri, relation.followee_account_id)
-                    ] = relation.id
-                    if relation.follow_activity_id:
-                        self._follow_by_activity[relation.follow_activity_id] = relation.id
+                    self._index_follow(FollowRelation(**data))
                 case "interactions":
-                    item = Interaction(**data)
-                    self._interactions[item.id] = item
-                    self._interaction_by_key[(item.kind, item.actor_uri, item.object_uri)] = item.id
-                    if item.activity_id:
-                        self._interaction_by_activity[item.activity_id] = item.id
+                    self._index_interaction(Interaction(**data))
                 case "tasks":
                     task = DeliveryTask(**data)
                     self._tasks[task.task_id] = task
@@ -801,9 +762,7 @@ class FileStore(MemoryStore):
                 case "tombstones":
                     self._tombstones.add(data)
                 case "tokens":
-                    account_id, token = data
-                    self._tokens[token] = account_id
-                    self._token_by_account[account_id] = token
+                    self._index_token(*data)
                 case "keys":
                     username, private_pem, public_pem = data
                     self._keys[username] = (private_pem, public_pem)

@@ -56,10 +56,6 @@ class HttpResponse:
     headers: dict[str, str] = field(default_factory=dict)
     body: bytes = b""
 
-    @property
-    def ok(self) -> bool:
-        return 200 <= self.status < 300
-
 
 class Transport(Protocol):
     """Capability for issuing outbound HTTP requests."""

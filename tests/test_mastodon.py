@@ -158,10 +158,6 @@ def test_visibility_from_audience_without_followers_knowledge():
     )
 
 
-def test_visibility_rank_ordering():
-    assert Visibility.PUBLIC.rank > Visibility.FOLLOWERS.rank > Visibility.DIRECT.rank
-
-
 # --- account/actor conversions ------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 """Virtual network harness: faults, retries, determinism, scripted scenarios."""
+import json
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,28 @@ class TestFaults:
         net = VirtualNet()
         with pytest.raises(ValueError):
             net.inject_fault(behavior="jitter")
+
+
+class TestReplies:
+    def test_a_reply_names_its_parent_on_every_wire_path(self):
+        net = federated_pair()
+        net.follow("b.test", "bob", "alice@a.test")
+        net.run_until_quiet()
+        root = net.post_status("a.test", "alice", "root post")
+        reply = net.post_status("a.test", "alice", "a reply", in_reply_to_id=int(root["id"]))
+        net.run_until_quiet()
+
+        document = net.api("a.test", "GET", f"/users/alice/statuses/{reply['id']}")
+        assert json.loads(document.body)["inReplyTo"] == root["uri"]
+        outbox = json.loads(net.api("a.test", "GET", "/users/alice/outbox").body)
+        notes = {item["object"]["id"]: item["object"] for item in outbox["orderedItems"]}
+        assert notes[reply["uri"]]["inReplyTo"] == root["uri"]
+        assert "inReplyTo" not in notes[root["uri"]]
+
+        # b.test threads its copy of the reply under its copy of the root.
+        copies = {item["uri"]: item for item in net.home_timeline("b.test", "bob")}
+        assert copies[reply["uri"]]["in_reply_to_id"] == copies[root["uri"]]["id"]
+        assert "in_reply_to_id" not in copies[root["uri"]]
 
 
 class TestKillRespawn:

@@ -556,6 +556,59 @@ def test_file_store_persists_deletion_resync(tmp_path):
     second.close()
 
 
+
+def test_reopen_rebuilds_every_index_the_live_writes_kept(tmp_path):
+    live = FileStore(tmp_path / "store")
+    alice, bob, (s1, s2, s3) = seed_deletable_world(live)
+    carol = live.upsert_account(account("carol"))
+    dave = live.upsert_account(account("dave"))
+    live.upsert_account(replace(dave, username="David"))
+    live.save_token(carol.id, "tok-carol")
+    c1 = live.store_status(status(carol, 4, tags=("cats", "dogs")))
+    live.upsert_follow(carol.actor_uri, bob.id, "accepted", "https://x/f3", 0.0)
+    live.record_interaction("Like", carol.actor_uri, s3.uri, "https://x/l3", 0.0)
+    live.record_interaction("Like", bob.actor_uri, c1.uri, "https://x/l4", 0.0)
+    live.upsert_follow(bob.actor_uri, alice.id, "pending", "https://x/f1-again", 1.0)
+    assert live.remove_interaction_by_activity("https://x/l1") is not None  # an undone like
+    live.delete_account_data(carol.actor_uri)
+    reopened = FileStore(tmp_path / "store")
+
+    def answers(store):
+        return (
+            [
+                store.get_follow(follower.actor_uri, followee.id)
+                for follower in (alice, bob, carol)
+                for followee in (alice, bob)
+            ],
+            [
+                store.find_follow_by_activity(f"https://x/{name}")
+                for name in ("f1", "f1-again", "f2", "f3")
+            ],
+            [store.get_status_by_uri(s.uri) for s in (s1, s2, s3, c1)],
+            [store.query_tag_timeline(tag) for tag in ("cats", "dogs")],
+            [store.get_local_account(name) for name in ("alice", "carol", "dave", "david")],
+            [store.account_id_for_token(t) for t in ("tok-alice", "tok-carol")],
+            # Last, as it removes what it finds.
+            [
+                store.remove_interaction_by_activity(f"https://x/{name}")
+                for name in ("l1", "l2", "l3", "l4")
+            ],
+        )
+
+    expected = answers(live)
+    assert answers(reopened) == expected
+    follows, by_activity, statuses, tags, locals_, tokens, interactions = expected
+    assert follows[2] is not None and follows[2].follow_activity_id == "https://x/f1-again"
+    assert [f is not None for f in by_activity] == [False, True, True, False]
+    assert statuses == [s1, s2, s3, None]
+    assert tags == [[s1], []]
+    assert [a and a.username for a in locals_] == ["alice", None, None, "David"]
+    assert tokens == [alice.id, None]
+    assert [i is not None for i in interactions] == [False, True, False, False]
+    live.close()
+    reopened.close()
+
+
 def test_file_store_private_key_files_are_restricted(tmp_path):
     """A key pair lives only in the store's table, and survives reopen from it."""
     disk = FileStore(tmp_path / "store")

@@ -57,6 +57,7 @@ class TagKind(str, Enum):
 
 
 ACTOR_TYPE_NAMES = {k.value for k in ActorKind}
+ACTIVITY_TYPE_NAMES = {k.value for k in ActivityKind}
 
 
 def format_timestamp(dt: datetime) -> str:
@@ -248,7 +249,7 @@ def serialize_object(obj: ApObject) -> str:
 # --- parsing ----------------------------------------------------------------
 
 
-def _load_object(text: str | bytes) -> dict[str, Any]:
+def load_object(text: str | bytes) -> dict[str, Any]:
     try:
         data = json.loads(text)
     except (ValueError, UnicodeDecodeError) as exc:
@@ -258,7 +259,7 @@ def _load_object(text: str | bytes) -> dict[str, Any]:
     return data
 
 
-def _type_name(data: dict[str, Any]) -> str | None:
+def type_name(data: dict[str, Any]) -> str | None:
     value = data.get("type")
     if isinstance(value, list):
         value = next((v for v in value if isinstance(v, str)), None)
@@ -296,7 +297,7 @@ def _tags_from_wire(value: Any) -> tuple[TagEntry, ...]:
     for item in value:
         if not isinstance(item, dict):
             continue
-        kind_name = _type_name(item)
+        kind_name = type_name(item)
         name = item.get("name")
         href = item.get("href")
         if kind_name == TagKind.MENTION.value:
@@ -317,8 +318,8 @@ def _tags_from_wire(value: Any) -> tuple[TagEntry, ...]:
 
 
 def note_from_dict(data: dict[str, Any]) -> Note:
-    if _type_name(data) != "Note":
-        raise MalformedDocument(f"expected a Note, got {_type_name(data)!r}")
+    if type_name(data) != "Note":
+        raise MalformedDocument(f"expected a Note, got {type_name(data)!r}")
     attributed = _uri_or_id(data.get("attributedTo"))
     if attributed is None:
         raise MissingRequiredField("attributedTo")
@@ -337,7 +338,7 @@ def note_from_dict(data: dict[str, Any]) -> Note:
 
 
 def parse_note(text: str | bytes) -> Note:
-    return note_from_dict(_load_object(text))
+    return note_from_dict(load_object(text))
 
 
 def _object_member_from_wire(value: Any) -> Union[str, Note, Actor, None]:
@@ -346,7 +347,7 @@ def _object_member_from_wire(value: Any) -> Union[str, Note, Actor, None]:
     if isinstance(value, str):
         return value
     if isinstance(value, dict):
-        kind_name = _type_name(value)
+        kind_name = type_name(value)
         if kind_name == "Note":
             return note_from_dict(value)
         if kind_name in ACTOR_TYPE_NAMES:
@@ -357,7 +358,7 @@ def _object_member_from_wire(value: Any) -> Union[str, Note, Actor, None]:
 
 
 def activity_from_dict(data: dict[str, Any]) -> Activity:
-    kind_name = _type_name(data)
+    kind_name = type_name(data)
     if kind_name is None:
         raise MissingRequiredField("type")
     try:
@@ -379,19 +380,19 @@ def activity_from_dict(data: dict[str, Any]) -> Activity:
     )
 
 
-def parse_activity(text: str | bytes) -> Activity:
-    """Parse an inbound activity.
+def parse_activity(text: str | bytes | dict[str, Any]) -> Activity:
+    """Parse an inbound activity, from its JSON text or its decoded object.
 
     Unknown members are ignored; absent optionals stay absent. Raises
     MissingRequiredField when the bare-minimum members (type, actor) are
     missing, UnsupportedType for kinds outside the supported seven, and
     MalformedDocument for non-object payloads.
     """
-    return activity_from_dict(_load_object(text))
+    return activity_from_dict(text if isinstance(text, dict) else load_object(text))
 
 
 def actor_from_dict(data: dict[str, Any]) -> Actor:
-    kind_name = _type_name(data)
+    kind_name = type_name(data)
     if kind_name not in ACTOR_TYPE_NAMES:
         raise MalformedDocument(f"not an actor document (type={kind_name!r})")
     actor_id = data.get("id")
@@ -455,4 +456,4 @@ def validate_actor_document(text: str | bytes) -> Actor:
     Raises MissingEndpoint when the actor has no inbox, MissingKey when it
     carries no public key, MalformedDocument for anything else off-shape.
     """
-    return actor_from_dict(_load_object(text))
+    return actor_from_dict(load_object(text))

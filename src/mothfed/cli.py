@@ -13,9 +13,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .activitypub import validate_actor_document
 from .config import Config, load_config
-from .errors import BindFailed, MalformedHandle, MothError
+from .errors import BadSignature, BindFailed, MalformedHandle, MothError
 from .http_api import _error
-from .httpsig import generate_rsa_keypair
+from .httpsig import generate_rsa_keypair, load_public_key
 from .identity import parse_acct
 from .instance import InstanceNode
 from .transport import HttpRequest, HttpResponse, Transport, TransportError, UrllibTransport
@@ -293,12 +293,10 @@ def run_probe(
     )
     steps.append(ProbeStep("actor validation", True, fields))
 
-    from cryptography.hazmat.primitives import serialization
-
     try:
-        serialization.load_pem_public_key(actor.public_key.pem.encode("ascii"))
+        load_public_key(actor)
         steps.append(ProbeStep("public key parse", True, actor.public_key.key_id))
-    except (ValueError, UnicodeEncodeError) as exc:
+    except BadSignature as exc:
         steps.append(ProbeStep("public key parse", False, str(exc)))
     return steps
 

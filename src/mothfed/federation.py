@@ -292,12 +292,11 @@ class FederationEngine:
         undone_id = _object_uri(activity.object)
         if undone_id is None:
             return [_warning("Undo without an object ignored")]
-        interaction = store.remove_interaction_by_activity(undone_id)
+        interaction = store.find_interaction_by_activity(undone_id)
         if interaction is not None:
             if interaction.actor_uri != actor.id:
-                # Put it back: only the original actor may undo.
-                store.restore_interaction(interaction)
                 return [_warning("Undo from a different actor ignored")]
+            store.remove_interaction_by_activity(undone_id)
             return [
                 Effect(
                     "RemoveInteraction",

@@ -13,14 +13,17 @@ from typing import Any
 
 from .activitypub import (
     ACTIVITY_MEDIA_TYPE,
+    ACTIVITY_TYPE_NAMES,
     AS_CONTEXT,
     JRD_MEDIA_TYPE,
     Activity,
     ActivityKind,
     Actor,
     format_timestamp,
+    load_object,
     parse_activity,
     to_wire_dict,
+    type_name,
     uri_host,
 )
 from .errors import (
@@ -214,7 +217,17 @@ class HttpApi:
             return _error(401, exc.reason, str(exc))
 
         try:
-            activity = parse_activity(request.body)
+            data = load_object(request.body)
+            activity_id = data.get("id")
+            if (
+                isinstance(activity_id, str)
+                and data.get("actor") == verified.id
+                and type_name(data) in ACTIVITY_TYPE_NAMES
+                and self.node.store.has_seen(activity_id)
+            ):
+                # A repeat: handle_inbox would parse it only for record_seen to drop it.
+                return _json_response(202, {"queued": True, "warnings": []})
+            activity = parse_activity(data)
         except MissingRequiredField as exc:
             return _error(400, exc.reason, f"missing required field: {exc}")
         except MalformedDocument as exc:
@@ -267,6 +280,7 @@ class HttpApi:
             actor_fetch=fetch,
             now=node.now_dt(),
             actor_refetch=refetch,
+            public_key=node.public_key,
         )
 
     def _outbox(self, name: str) -> HttpResponse:

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from email.utils import format_datetime, parsedate_to_datetime
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 from urllib.parse import urlsplit
 
 from cryptography.hazmat.primitives import hashes, serialization
@@ -29,6 +29,9 @@ from .errors import (
     NoSignature,
     StaleDate,
 )
+
+if TYPE_CHECKING:  # importing it loads every key type's native module
+    from cryptography.hazmat.primitives.asymmetric.types import PublicKeyTypes
 
 ALGORITHM = "rsa-sha256"
 SIGNED_HEADERS = ("(request-target)", "host", "date", "digest")
@@ -141,6 +144,14 @@ def parse_signature_header(value: str) -> SignatureParams:
     )
 
 
+def load_public_key(actor: Actor) -> PublicKeyTypes:
+    """The actor document's parsed public key; BadSignature if it is unusable."""
+    try:
+        return serialization.load_pem_public_key(actor.public_key.pem.encode("ascii"))
+    except (ValueError, UnicodeEncodeError) as exc:
+        raise BadSignature(f"actor's public key is unusable: {exc}") from exc
+
+
 def verify_signature(
     method: str,
     target: str,
@@ -149,6 +160,7 @@ def verify_signature(
     actor_fetch: Callable[[str], Actor],
     now: datetime,
     actor_refetch: Callable[[str], Actor | None] | None = None,
+    public_key: Callable[[Actor], PublicKeyTypes] = load_public_key,
 ) -> Actor:
     """Verify a signed request and return the actor owning the signing key.
 
@@ -156,6 +168,8 @@ def verify_signature(
     ActorFetchFailed. When the signature does not verify against that
     document's key, actor_refetch (if given) is asked once for a fresher
     document, or None when there is none: the key may have been rotated.
+    public_key maps a document to its parsed key, so a caller that caches
+    documents can parse each one's key once.
     Raises NoSignature, StaleDate, DigestMismatch, BadSignature, or
     ActorFetchFailed; each carries its own reason string.
     """
@@ -200,25 +214,22 @@ def verify_signature(
 
     actor_uri = params.key_id.split("#", 1)[0]
     actor = actor_fetch(actor_uri)
-    if _key_verifies(actor, params.signature, message):
+    if _key_verifies(actor, public_key, params.signature, message):
         return actor
     fresher = actor_refetch(actor_uri) if actor_refetch is not None else None
-    if fresher is not None and _key_verifies(fresher, params.signature, message):
+    if fresher is not None and _key_verifies(fresher, public_key, params.signature, message):
         return fresher
     raise BadSignature("signature does not verify against the actor's key")
 
 
-def _key_verifies(actor: Actor, signature: str, message: bytes) -> bool:
+def _key_verifies(
+    actor: Actor, key_of: Callable[[Actor], PublicKeyTypes], signature: str, message: bytes
+) -> bool:
     """Whether the actor's key verifies the signature; BadSignature if it cannot tell."""
     key_owner = actor.public_key.owner or actor.id
     if key_owner != actor.id:
         raise BadSignature("key owner does not match the actor document")
-    try:
-        public_key = serialization.load_pem_public_key(
-            actor.public_key.pem.encode("ascii")
-        )
-    except (ValueError, UnicodeEncodeError) as exc:
-        raise BadSignature(f"actor's public key is unusable: {exc}") from exc
+    public_key = key_of(actor)
     try:
         raw = base64.b64decode(signature, validate=True)
     except ValueError as exc:

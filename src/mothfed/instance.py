@@ -10,22 +10,33 @@ import secrets
 import threading
 import time
 from collections import OrderedDict
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .activitypub import ACTIVITY_MEDIA_TYPE, Actor, uri_host, validate_actor_document
 from .config import Config
 from .errors import ActorFetchFailed, InvalidName, NameTaken, ResolutionFailed, UnknownUser
 from .federation import FederationEngine, QueueReport
 from .http_api import HttpApi
-from .httpsig import generate_rsa_keypair
+from .httpsig import generate_rsa_keypair, load_public_key
 from .identity import RESOLVE_TTL_SECONDS, AcctHandle, Resolver, valid_username
 from .mastodon import Account, account_to_actor, actor_to_account
 from .storage import MemoryStore, open_store
 from .transport import HttpRequest, HttpResponse, Transport, TransportError, UrllibTransport
 
+if TYPE_CHECKING:
+    from .httpsig import PublicKeyTypes
+
 # Fetched actor documents kept; the least recently used one goes first.
 ACTOR_CACHE_SIZE = 4096
+
+
+@dataclass(slots=True)
+class _CachedActor:
+    actor: Actor
+    fetched_at: float
+    key: PublicKeyTypes | None = None  # parsed by the first signature check
 
 
 class InstanceNode:
@@ -49,7 +60,7 @@ class InstanceNode:
             test_mode=config.test_mode,
         )
         self.engine = FederationEngine(config, self.store, self.clock)
-        self._actor_cache: OrderedDict[str, tuple[Actor, float]] = OrderedDict()
+        self._actor_cache: OrderedDict[str, _CachedActor] = OrderedDict()
         self._actor_cache_lock = threading.Lock()
         self.api = HttpApi(self)
 
@@ -138,10 +149,10 @@ class InstanceNode:
         uri = actor_uri.split("#", 1)[0]
         with self._actor_cache_lock:
             cached = self._actor_cache.get(uri)
-            if cached is None or self.clock() - cached[1] >= RESOLVE_TTL_SECONDS:
+            if cached is None or self.clock() - cached.fetched_at >= RESOLVE_TTL_SECONDS:
                 return None
             self._actor_cache.move_to_end(uri)
-            return cached[0]
+            return cached.actor
 
     def fetch_actor(self, actor_uri: str) -> Actor:
         """Actor document for a URI, via cache, local store, or the network."""
@@ -175,11 +186,21 @@ class InstanceNode:
             raise ActorFetchFailed(f"{uri}: document claims to be {actor.id}")
 
         with self._actor_cache_lock:
-            self._actor_cache[uri] = (actor, now)
+            self._actor_cache[uri] = _CachedActor(actor, now)
             self._actor_cache.move_to_end(uri)
             if len(self._actor_cache) > ACTOR_CACHE_SIZE:
                 self._actor_cache.popitem(last=False)
         return actor
+
+    def public_key(self, actor: Actor) -> PublicKeyTypes:
+        """The actor's parsed key; a cached document's PEM is parsed only once."""
+        with self._actor_cache_lock:
+            cached = self._actor_cache.get(actor.id)
+        if cached is None or cached.actor is not actor:
+            return load_public_key(actor)
+        if cached.key is None:
+            cached.key = load_public_key(actor)
+        return cached.key
 
     def forget_actor(self, actor_uri: str) -> None:
         with self._actor_cache_lock:

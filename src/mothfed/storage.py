@@ -19,6 +19,7 @@ import json
 import os
 import sqlite3
 import threading
+from bisect import bisect_left, insort
 from contextlib import AbstractContextManager, suppress
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
@@ -79,12 +80,15 @@ class MemoryStore:
         self._local_by_name: dict[str, int] = {}
         self._statuses: dict[int, Status] = {}
         self._status_by_uri: dict[str, int] = {}
+        # tag -> status ids, ascending
         self._tag_index: dict[str, list[int]] = {}
         # owner account id -> {status id -> inserted_at}
         self._timelines: dict[int, dict[int, float]] = {}
         self._follows: dict[int, FollowRelation] = {}
         self._follow_by_pair: dict[tuple[str, int], int] = {}
         self._follow_by_activity: dict[str, int] = {}
+        # followee account id -> follow ids
+        self._follows_of: dict[int, set[int]] = {}
         self._interactions: dict[int, Interaction] = {}
         self._interaction_by_key: dict[tuple[str, str, str], int] = {}
         self._interaction_by_activity: dict[str, int] = {}
@@ -244,12 +248,11 @@ class MemoryStore:
     ) -> list[Status]:
         limit = max(1, min(int(limit), MAX_PAGE))
         with self._lock:
-            ids = sorted(self._tag_index.get(tag, ()), reverse=True)
+            ids = self._tag_index.get(tag, [])
+            end = len(ids) if max_id is None else bisect_left(ids, max_id)
             results = []
-            for status_id in ids:
-                if max_id is not None and status_id >= max_id:
-                    continue
-                status = self._statuses.get(status_id)
+            for index in range(end - 1, -1, -1):
+                status = self._statuses.get(ids[index])
                 if status is None or status.visibility is not Visibility.PUBLIC:
                     continue
                 results.append(status)
@@ -318,13 +321,8 @@ class MemoryStore:
 
     def followers_of(self, account_id: int, state: str | None = "accepted") -> list[FollowRelation]:
         with self._lock:
-            found = [
-                r
-                for r in self._follows.values()
-                if r.followee_account_id == account_id
-                and (state is None or r.state == state)
-            ]
-            return sorted(found, key=lambda r: r.id)
+            found = (self._follows[i] for i in sorted(self._follows_of.get(account_id, ())))
+            return [r for r in found if state is None or r.state == state]
 
     def follows_by_follower(self, follower_actor_uri: str) -> list[FollowRelation]:
         with self._lock:
@@ -358,6 +356,11 @@ class MemoryStore:
             self._index_interaction(item)
             self._write("interactions", item.id, item)
 
+    def find_interaction_by_activity(self, activity_id: str) -> Interaction | None:
+        with self._lock:
+            item_id = self._interaction_by_activity.get(activity_id)
+            return self._interactions.get(item_id) if item_id is not None else None
+
     def remove_interaction_by_activity(self, activity_id: str) -> Interaction | None:
         with self._lock:
             item_id = self._interaction_by_activity.get(activity_id)
@@ -388,6 +391,10 @@ class MemoryStore:
             self._seen.add(activity_id)
             self._write("seen", activity_id, activity_id)
             return True
+
+    def has_seen(self, activity_id: str) -> bool:
+        with self._lock:
+            return activity_id in self._seen
 
     def add_tombstone(self, actor_uri: str) -> None:
         with self._lock:
@@ -553,7 +560,8 @@ class MemoryStore:
         if status.uri:
             self._status_by_uri[status.uri] = status.id
         for tag in status.tags:
-            self._tag_index.setdefault(tag, []).append(status.id)
+            # Ids are time-ordered, so this is almost always an append.
+            insort(self._tag_index.setdefault(tag, []), status.id)
 
     def _unindex_status(self, status: Status) -> None:
         del self._statuses[status.id]
@@ -572,11 +580,16 @@ class MemoryStore:
         self._follow_by_pair[pair] = relation.id
         if relation.follow_activity_id:
             self._follow_by_activity[relation.follow_activity_id] = relation.id
+        self._follows_of.setdefault(relation.followee_account_id, set()).add(relation.id)
 
     def _unindex_follow(self, relation: FollowRelation) -> None:
         del self._follows[relation.id]
         self._follow_by_pair.pop((relation.follower_actor_uri, relation.followee_account_id), None)
         self._follow_by_activity.pop(relation.follow_activity_id, None)
+        ids = self._follows_of[relation.followee_account_id]
+        ids.discard(relation.id)
+        if not ids:
+            del self._follows_of[relation.followee_account_id]
 
     def _index_interaction(self, item: Interaction) -> None:
         self._interactions[item.id] = item

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
@@ -22,7 +23,7 @@ from mothfed.errors import ActorMismatch, TombstonedActor, TransportError
 from mothfed.federation import MAX_ATTEMPTS, FederationEngine, username_from_key_id
 from mothfed.httpsig import generate_rsa_keypair
 from mothfed.mastodon import Account, Mention, Status, Visibility
-from mothfed.storage import MemoryStore
+from mothfed.storage import FileStore, MemoryStore
 from mothfed.transport import HttpResponse
 
 from .support import FIXED_PUBLIC_PEM, expected_remote_inboxes, gen_status, interactions_on
@@ -382,6 +383,34 @@ def test_undo_by_someone_else_restores_the_interaction(world):
     effects = engine.handle_inbox(undo, mallory)
     assert kinds(effects) == ["Warning"]
     assert len(interactions_on(store, target)) == 1
+
+
+def test_a_refused_undo_writes_nothing(tmp_path):
+    store = FileStore(tmp_path / "store")
+    engine = FederationEngine(Config(domain=LOCAL, test_mode=True), store, Ticker())
+    bob = remote_actor()
+    mallory = remote_actor("mallory", "evil.test")
+    target = f"http://{LOCAL}/users/alice/statuses/1"
+    engine.handle_inbox(like_activity(bob, target), bob)
+    undo = Activity(
+        id="http://evil.test/act/undo1",
+        kind=ActivityKind.UNDO,
+        actor=mallory.id,
+        object="http://b.test/act/like1",
+    )
+    # Stores mallory's account and peer rows, and the seen id.
+    assert kinds(engine.handle_inbox(undo, mallory)) == ["Warning"]
+    statements = []
+    store._db.set_trace_callback(statements.append)
+    try:
+        # Without an id nothing is recorded seen, so only the Undo could write.
+        effects = engine.handle_inbox(replace(undo, id=None), mallory)
+    finally:
+        store._db.set_trace_callback(None)
+    assert kinds(effects) == ["Warning"]
+    assert statements == []
+    assert len(interactions_on(store, target)) == 1
+    store.close()
 
 
 def test_undo_follow_removes_the_relation(world):

@@ -1,10 +1,12 @@
 import json
 import shutil
+import sys
+import threading
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from mothfed import instance
+from mothfed import http_api, httpsig, instance
 from mothfed.activitypub import (
     ACTIVITY_MEDIA_TYPE,
     AS_CONTEXT,
@@ -255,6 +257,127 @@ def test_inbox_replay_is_acknowledged_but_inert(node):
     signed_inbox_post(node, bob_create(), BOB_KEY_ID, REMOTE_PRIVATE)
     response = signed_inbox_post(node, bob_create(), BOB_KEY_ID, REMOTE_PRIVATE)
     assert response.status == 202
+    sender = node.store.get_account_by_uri("http://b.test/users/bob")
+    assert len(node.store.statuses_by_account(sender.id)) == 1
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper that records each call; return the record."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_a_repeat_is_acknowledged_without_parsing_or_dispatch(node, monkeypatch):
+    install_remote(node.transport)
+    assert signed_inbox_post(node, bob_create(), BOB_KEY_ID, REMOTE_PRIVATE).status == 202
+    parsed = count_calls(monkeypatch, http_api, "parse_activity")
+    dispatched = count_calls(monkeypatch, node.engine, "handle_inbox")
+    response = signed_inbox_post(node, bob_create(), BOB_KEY_ID, REMOTE_PRIVATE)
+    assert (response.status, body_json(response)) == (202, {"queued": True, "warnings": []})
+    assert (len(parsed), len(dispatched)) == (0, 0)
+    # A new id still goes the whole way.
+    second = bob_create("http://b.test/users/bob/statuses/2")
+    assert signed_inbox_post(node, second, BOB_KEY_ID, REMOTE_PRIVATE).status == 202
+    assert (len(parsed), len(dispatched)) == (1, 1)
+
+
+def test_a_repeat_is_acknowledged_even_if_its_object_no_longer_parses(node):
+    install_remote(node.transport)
+    first = json.loads(bob_create())
+    assert signed_inbox_post(node, json.dumps(first), BOB_KEY_ID, REMOTE_PRIVATE).status == 202
+    broken = {**first, "object": {"type": "Note", "id": first["object"]["id"]}}
+    response = signed_inbox_post(node, json.dumps(broken), BOB_KEY_ID, REMOTE_PRIVATE)
+    assert (response.status, body_json(response)) == (202, {"queued": True, "warnings": []})
+    # The same shape under a new id is parsed, and refused.
+    fresh = {**broken, "id": "http://b.test/act/fresh"}
+    response = signed_inbox_post(node, json.dumps(fresh), BOB_KEY_ID, REMOTE_PRIVATE)
+    assert (response.status, body_json(response)["error"]) == (400, "MissingRequiredField")
+
+
+def test_deliveries_from_a_cached_actor_parse_its_key_once(node, monkeypatch):
+    root = install_remote(node.transport)
+    loads = count_calls(monkeypatch, httpsig.serialization, "load_pem_public_key")
+    for n in range(5):
+        create = bob_create(f"http://b.test/users/bob/statuses/{n}")
+        assert signed_inbox_post(node, create, BOB_KEY_ID, REMOTE_PRIVATE).status == 202
+    assert len(loads) == 1
+    # A rotated key fails against the cached one; the refetched document's key
+    # is parsed once and then kept.
+    new_private, new_public = generate_rsa_keypair(1024)
+    node.transport.responses[root] = HttpResponse(
+        200, {"Content-Type": ACTIVITY_MEDIA_TYPE},
+        json.dumps(remote_actor_doc(public_pem=new_public)).encode(),
+    )
+    for n in range(5, 8):
+        create = bob_create(f"http://b.test/users/bob/statuses/{n}")
+        assert signed_inbox_post(node, create, BOB_KEY_ID, new_private).status == 202
+    assert len(loads) == 2
+
+
+def test_a_repeat_that_fails_a_check_is_refused_as_before(node):
+    install_remote(node.transport)
+    body = bob_create().encode()
+    assert signed_inbox_post(node, body, BOB_KEY_ID, REMOTE_PRIVATE).status == 202
+    url = f"{BASE}/users/alice/inbox"
+    when = datetime.fromtimestamp(node.clock(), tz=timezone.utc)
+    _, headers = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_PRIVATE, when)
+    forged_private, _ = generate_rsa_keypair(1024)
+    cases = [
+        ({k: v for k, v in headers.items() if k != "Signature"}, body, "NoSignature"),
+        (sign_request("POST", url, body, BOB_KEY_ID, REMOTE_PRIVATE,
+                      when - timedelta(hours=2))[1], body, "StaleDate"),
+        (headers, body + b" ", "DigestMismatch"),
+        (sign_request("POST", url, body, BOB_KEY_ID, forged_private, when)[1],
+         body, "BadSignature"),
+    ]
+    for request_headers, request_body, reason in cases:
+        response = node.handle_http(HttpRequest("POST", url, request_headers, request_body))
+        assert (response.status, body_json(response)["error"]) == (401, reason)
+    # The seen id under carol's name, signed by bob.
+    mismatched = json.dumps({**json.loads(body), "actor": "http://c.test/users/carol"})
+    response = signed_inbox_post(node, mismatched, BOB_KEY_ID, REMOTE_PRIVATE)
+    assert (response.status, body_json(response)["error"]) == (401, "ActorMismatch")
+    # The seen id under a type moth-fed does not handle.
+    moved = json.dumps({**json.loads(body), "type": "Move"})
+    response = signed_inbox_post(node, moved, BOB_KEY_ID, REMOTE_PRIVATE)
+    assert (response.status, body_json(response)["queued"]) == (202, False)
+    assert body_json(response)["reason"] == "UnsupportedType"
+
+
+def test_concurrent_deliveries_of_one_activity_apply_it_once(node):
+    install_remote(node.transport)
+    url = f"{BASE}/users/alice/inbox"
+    body = bob_create().encode()
+    when = datetime.fromtimestamp(node.clock(), tz=timezone.utc)
+    _, headers = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_PRIVATE, when)
+    barrier = threading.Barrier(8)
+    responses = []
+
+    def deliver():
+        barrier.wait(timeout=10)
+        responses.append(node.handle_http(HttpRequest("POST", url, headers, body)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=deliver) for _ in range(8)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in pool)
+    assert [(r.status, body_json(r)) for r in responses] == [
+        (202, {"queued": True, "warnings": []})
+    ] * 8
     sender = node.store.get_account_by_uri("http://b.test/users/bob")
     assert len(node.store.statuses_by_account(sender.id)) == 1
 

@@ -266,6 +266,44 @@ def test_tag_timeline_is_public_only(store):
     assert store.query_tag_timeline("nosuch") == []
 
 
+def test_tag_pages_match_a_sorted_reference_after_deletion_and_reopen(tmp_path):
+    live = FileStore(tmp_path / "store")
+    alice = live.upsert_account(account("alice"))
+    bob = live.upsert_account(account("bob", domain="b.test"))
+    # Explicit ids out of order, of varying digit counts, a fifth of them not public.
+    public = {}
+    for n, status_id in enumerate(random.Random(7).sample(range(1, 10**6), 60)):
+        author = (alice, bob)[n % 2]
+        visibility = Visibility.FOLLOWERS if n % 5 == 0 else Visibility.PUBLIC
+        live.store_status(replace(status(author, n, visibility, tags=("cats",)), id=status_id))
+        if visibility is Visibility.PUBLIC:
+            public[status_id] = author
+
+    def pages(store):
+        walked, max_id = [], None
+        for _ in range(20):  # 60 statuses take at most 9 pages of 7
+            page = [s.id for s in store.query_tag_timeline("cats", 7, max_id)]
+            if not page:
+                break
+            walked.append(page)
+            max_id = page[-1]
+        return walked
+
+    def reference():
+        ids = sorted(public, reverse=True)
+        return [ids[i:i + 7] for i in range(0, len(ids), 7)]
+
+    assert pages(live) == reference()
+    live.delete_account_data(bob.actor_uri)
+    public = {k: v for k, v in public.items() if v is alice}
+    assert pages(live) == reference()
+    reopened = FileStore(tmp_path / "store")
+    assert pages(reopened) == reference()
+    assert reopened.snapshot() == live.snapshot()
+    live.close()
+    reopened.close()
+
+
 # --- follows -----------------------------------------------------------------------
 
 
@@ -588,6 +626,11 @@ def test_reopen_rebuilds_every_index_the_live_writes_kept(tmp_path):
             [store.query_tag_timeline(tag) for tag in ("cats", "dogs")],
             [store.get_local_account(name) for name in ("alice", "carol", "dave", "david")],
             [store.account_id_for_token(t) for t in ("tok-alice", "tok-carol")],
+            [
+                store.followers_of(followee.id, state=state)
+                for followee in (alice, bob, carol)
+                for state in ("accepted", None)
+            ],
             # Last, as it removes what it finds.
             [
                 store.remove_interaction_by_activity(f"https://x/{name}")
@@ -597,13 +640,16 @@ def test_reopen_rebuilds_every_index_the_live_writes_kept(tmp_path):
 
     expected = answers(live)
     assert answers(reopened) == expected
-    follows, by_activity, statuses, tags, locals_, tokens, interactions = expected
+    follows, by_activity, statuses, tags, locals_, tokens, followers, interactions = expected
     assert follows[2] is not None and follows[2].follow_activity_id == "https://x/f1-again"
     assert [f is not None for f in by_activity] == [False, True, True, False]
     assert statuses == [s1, s2, s3, None]
     assert tags == [[s1], []]
     assert [a and a.username for a in locals_] == ["alice", None, None, "David"]
     assert tokens == [alice.id, None]
+    assert [[r.follow_activity_id for r in found] for found in followers] == [
+        [], ["https://x/f1-again"], ["https://x/f2"], ["https://x/f2"], [], []
+    ]
     assert [i is not None for i in interactions] == [False, True, False, False]
     live.close()
     reopened.close()

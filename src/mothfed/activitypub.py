@@ -252,7 +252,7 @@ def serialize_object(obj: ApObject) -> str:
 def load_object(text: str | bytes) -> dict[str, Any]:
     try:
         data = json.loads(text)
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise MalformedDocument(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedDocument("top-level value is not a JSON object")

@@ -11,14 +11,20 @@ import threading
 from dataclasses import dataclass, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .activitypub import validate_actor_document
 from .config import Config, load_config
-from .errors import BadSignature, BindFailed, MalformedHandle, MothError
+from .errors import BindFailed, MothError
 from .http_api import _error
 from .httpsig import generate_rsa_keypair, load_public_key
-from .identity import parse_acct
+from .identity import (
+    actor_from_document,
+    actor_uri_from_jrd,
+    fetch_actor_document,
+    fetch_jrd,
+    parse_acct,
+    webfinger_url,
+)
 from .instance import InstanceNode
-from .transport import HttpRequest, HttpResponse, Transport, TransportError, UrllibTransport
+from .transport import HttpRequest, HttpResponse, Transport, UrllibTransport
 
 # Larger request bodies get 413 before any of the body is read.
 MAX_BODY_BYTES = 1 << 20
@@ -204,6 +210,17 @@ def cmd_keygen(config: Config, name: str) -> int:
 # --- probe -----------------------------------------------------------------------
 
 
+# What run_probe checks, in order; each step needs the one before it.
+PROBE_STEPS = (
+    "parse handle",
+    "WebFinger request",
+    "WebFinger parse",
+    "actor fetch",
+    "actor validation",
+    "public key parse",
+)
+
+
 @dataclass(frozen=True)
 class ProbeStep:
     name: str
@@ -217,87 +234,30 @@ def run_probe(
     transport: Transport,
     test_mode: bool = False,
 ) -> list[ProbeStep]:
-    """Walk WebFinger then the actor document, reporting every step."""
+    """Run the server's own discovery steps in order, reporting each until one fails."""
     steps: list[ProbeStep] = []
+
+    def passed(detail: str) -> None:
+        steps.append(ProbeStep(PROBE_STEPS[len(steps)], True, detail))
+
     try:
         handle = parse_acct(handle_text, local_domain)
-    except MalformedHandle as exc:
-        steps.append(ProbeStep("parse handle", False, str(exc)))
-        return steps
-    steps.append(ProbeStep("parse handle", True, str(handle)))
-
-    scheme = "http" if test_mode else "https"
-    from urllib.parse import quote
-
-    webfinger_url = (
-        f"{scheme}://{handle.domain}/.well-known/webfinger"
-        f"?resource={quote(handle.acct_uri, safe='')}"
-    )
-    try:
-        response = transport.request(
-            HttpRequest("GET", webfinger_url, {"Accept": "application/jrd+json"})
+        passed(str(handle))
+        jrd = fetch_jrd(transport, handle, test_mode)
+        passed(f"{webfinger_url(handle, test_mode)} -> 200")
+        actor_uri = actor_uri_from_jrd(jrd, handle, test_mode)
+        passed(f"self link {actor_uri}")
+        document = fetch_actor_document(transport, actor_uri)
+        passed(f"{actor_uri} -> 200")
+        actor = actor_from_document(document, actor_uri)
+        passed(
+            f"type={actor.kind.value} preferredUsername={actor.preferred_username} "
+            f"inbox={actor.inbox}"
         )
-    except TransportError as exc:
-        steps.append(ProbeStep("WebFinger request", False, f"{webfinger_url}: {exc}"))
-        return steps
-    if response.status != 200:
-        steps.append(
-            ProbeStep("WebFinger request", False, f"{webfinger_url} -> {response.status}")
-        )
-        return steps
-    if not response.body:
-        steps.append(
-            ProbeStep("WebFinger request", False, f"{webfinger_url} -> WebFinger body empty")
-        )
-        return steps
-    steps.append(ProbeStep("WebFinger request", True, f"{webfinger_url} -> 200"))
-
-    from .identity import JrdDocument
-    from .errors import NoSelfLink, ResolutionFailed
-
-    try:
-        document = JrdDocument.from_json(response.body)
-    except ResolutionFailed as exc:
-        steps.append(ProbeStep("WebFinger parse", False, str(exc)))
-        return steps
-    try:
-        actor_uri = document.self_link()
-    except NoSelfLink:
-        steps.append(ProbeStep("WebFinger parse", False, "no rel=self ActivityPub link"))
-        return steps
-    steps.append(ProbeStep("WebFinger parse", True, f"self link {actor_uri}"))
-
-    try:
-        actor_response = transport.request(
-            HttpRequest("GET", actor_uri, {"Accept": "application/activity+json"})
-        )
-    except TransportError as exc:
-        steps.append(ProbeStep("actor fetch", False, f"{actor_uri}: {exc}"))
-        return steps
-    if actor_response.status != 200:
-        steps.append(ProbeStep("actor fetch", False, f"{actor_uri} -> {actor_response.status}"))
-        return steps
-    if not actor_response.body:
-        steps.append(ProbeStep("actor fetch", False, f"{actor_uri} -> empty body"))
-        return steps
-    steps.append(ProbeStep("actor fetch", True, f"{actor_uri} -> 200"))
-
-    try:
-        actor = validate_actor_document(actor_response.body)
-    except MothError as exc:
-        steps.append(ProbeStep("actor validation", False, f"{exc.reason}: {exc}"))
-        return steps
-    fields = (
-        f"type={actor.kind.value} preferredUsername={actor.preferred_username} "
-        f"inbox={actor.inbox} key={'present' if actor.public_key.pem.strip() else 'absent'}"
-    )
-    steps.append(ProbeStep("actor validation", True, fields))
-
-    try:
         load_public_key(actor)
-        steps.append(ProbeStep("public key parse", True, actor.public_key.key_id))
-    except BadSignature as exc:
-        steps.append(ProbeStep("public key parse", False, str(exc)))
+        passed(actor.public_key.key_id)
+    except MothError as exc:
+        steps.append(ProbeStep(PROBE_STEPS[len(steps)], False, f"{exc.reason}: {exc}"))
     return steps
 
 

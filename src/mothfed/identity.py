@@ -1,4 +1,4 @@
-"""Handles (user@domain), WebFinger documents, and remote handle resolution."""
+"""Handles (user@domain), WebFinger documents, and remote discovery: handle to actor."""
 from __future__ import annotations
 
 import json
@@ -9,9 +9,9 @@ from dataclasses import dataclass
 from typing import Any, Callable
 from urllib.parse import quote, urlsplit
 
-from .activitypub import ACTIVITY_MEDIA_TYPE
-from .errors import MalformedHandle, NoSelfLink, ResolutionFailed
-from .transport import HttpRequest, Transport, TransportError
+from .activitypub import ACTIVITY_MEDIA_TYPE, Actor, is_absolute_http_uri, validate_actor_document
+from .errors import ActorFetchFailed, MalformedHandle, MothError, NoSelfLink, ResolutionFailed
+from .transport import Transport, get_body
 
 # Resolved handles kept; the least recently used one goes first.
 RESOLVER_CACHE_SIZE = 4096
@@ -122,7 +122,7 @@ class JrdDocument:
     def from_json(cls, text: str | bytes) -> "JrdDocument":
         try:
             data = json.loads(text)
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ResolutionFailed(f"WebFinger body is not JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ResolutionFailed("WebFinger body is not a JSON object")
@@ -164,7 +164,7 @@ class JrdDocument:
             if link.type is not None and "activity+json" not in link.type and "ld+json" not in link.type:
                 continue
             return link.href
-        raise NoSelfLink(self.subject)
+        raise NoSelfLink(f"{self.subject} has no rel=self ActivityPub link")
 
 
 def build_jrd(handle: AcctHandle, actor_uri: str, profile_url: str | None = None) -> JrdDocument:
@@ -176,6 +176,49 @@ def build_jrd(handle: AcctHandle, actor_uri: str, profile_url: str | None = None
             JrdLink(rel="self", type=ACTIVITY_MEDIA_TYPE, href=actor_uri),
         ),
     )
+
+
+# Discovery steps, shared by Resolver.resolve, InstanceNode.fetch_actor and `moth-fed probe`.
+
+
+def webfinger_url(handle: AcctHandle, test_mode: bool) -> str:
+    scheme = "http" if test_mode else "https"
+    return (
+        f"{scheme}://{handle.domain}/.well-known/webfinger"
+        f"?resource={quote(handle.acct_uri, safe='')}"
+    )
+
+
+def fetch_jrd(transport: Transport, handle: AcctHandle, test_mode: bool) -> bytes:
+    """The handle's WebFinger body; ResolutionFailed unless a non-empty 200 arrives."""
+    url = webfinger_url(handle, test_mode)
+    return get_body(transport, url, "application/jrd+json", ResolutionFailed, f"{handle}: WebFinger")
+
+
+def actor_uri_from_jrd(body: bytes, handle: AcctHandle, test_mode: bool) -> str:
+    """The actor URI a WebFinger body advertises: absolute, and https outside test mode."""
+    actor_uri = JrdDocument.from_json(body).self_link()
+    if not is_absolute_http_uri(actor_uri):
+        raise ResolutionFailed(f"{handle}: self link is not an absolute URI")
+    if not test_mode and urlsplit(actor_uri).scheme != "https":
+        raise ResolutionFailed(f"{handle}: self link is not https")
+    return actor_uri
+
+
+def fetch_actor_document(transport: Transport, uri: str) -> bytes:
+    """The actor document's body; ActorFetchFailed unless a non-empty 200 arrives."""
+    return get_body(transport, uri, ACTIVITY_MEDIA_TYPE, ActorFetchFailed, f"{uri}: actor endpoint")
+
+
+def actor_from_document(body: bytes, uri: str) -> Actor:
+    """The actor document fetched from uri; ActorFetchFailed if off-shape or not uri's."""
+    try:
+        actor = validate_actor_document(body)
+    except MothError as exc:
+        raise ActorFetchFailed(f"{uri}: invalid actor document: {exc.reason}: {exc}") from exc
+    if actor.id != uri:
+        raise ActorFetchFailed(f"{uri}: document claims to be {actor.id}")
+    return actor
 
 
 @dataclass(frozen=True)
@@ -214,29 +257,8 @@ class Resolver:
                 self._cache.move_to_end(handle)
                 return cached
 
-        scheme = "http" if self.test_mode else "https"
-        url = (
-            f"{scheme}://{handle.domain}/.well-known/webfinger"
-            f"?resource={quote(handle.acct_uri, safe='')}"
-        )
-        try:
-            response = self.transport.request(
-                HttpRequest("GET", url, {"Accept": "application/jrd+json"})
-            )
-        except TransportError as exc:
-            raise ResolutionFailed(f"{handle}: {exc}") from exc
-        if response.status != 200:
-            raise ResolutionFailed(f"{handle}: WebFinger returned {response.status}")
-        if not response.body:
-            raise ResolutionFailed(f"{handle}: WebFinger body empty")
-        document = JrdDocument.from_json(response.body)
-        actor_uri = document.self_link()
-        parts = urlsplit(actor_uri)
-        if not self.test_mode and parts.scheme != "https":
-            raise ResolutionFailed(f"{handle}: self link is not https")
-        if parts.scheme not in ("http", "https") or not parts.netloc:
-            raise ResolutionFailed(f"{handle}: self link is not an absolute URI")
-
+        body = fetch_jrd(self.transport, handle, self.test_mode)
+        actor_uri = actor_uri_from_jrd(body, handle, self.test_mode)
         ref = ResolvedActorRef(handle=handle, actor_uri=actor_uri, fetched_at=now)
         with self._lock:
             self._cache[handle] = ref
@@ -244,7 +266,3 @@ class Resolver:
             if len(self._cache) > RESOLVER_CACHE_SIZE:
                 self._cache.popitem(last=False)
         return ref
-
-    def forget(self, handle: AcctHandle) -> None:
-        with self._lock:
-            self._cache.pop(handle, None)

@@ -14,16 +14,23 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING, Callable
 
-from .activitypub import ACTIVITY_MEDIA_TYPE, Actor, uri_host, validate_actor_document
+from .activitypub import Actor, uri_host
 from .config import Config
 from .errors import ActorFetchFailed, InvalidName, NameTaken, ResolutionFailed, UnknownUser
 from .federation import FederationEngine, QueueReport
 from .http_api import HttpApi
 from .httpsig import generate_rsa_keypair, load_public_key
-from .identity import RESOLVE_TTL_SECONDS, AcctHandle, Resolver, valid_username
+from .identity import (
+    RESOLVE_TTL_SECONDS,
+    AcctHandle,
+    Resolver,
+    actor_from_document,
+    fetch_actor_document,
+    valid_username,
+)
 from .mastodon import Account, account_to_actor, actor_to_account
 from .storage import MemoryStore, open_store
-from .transport import HttpRequest, HttpResponse, Transport, TransportError, UrllibTransport
+from .transport import HttpRequest, HttpResponse, Transport, UrllibTransport
 
 if TYPE_CHECKING:
     from .httpsig import PublicKeyTypes
@@ -168,23 +175,7 @@ class InstanceNode:
                 raise ActorFetchFailed(f"no local actor at {uri}")
             return account_to_actor(account, self.base_url)
 
-        try:
-            response = self.transport.request(
-                HttpRequest("GET", uri, {"Accept": ACTIVITY_MEDIA_TYPE})
-            )
-        except TransportError as exc:
-            raise ActorFetchFailed(f"{uri}: {exc}") from exc
-        if response.status != 200:
-            raise ActorFetchFailed(f"{uri}: actor endpoint returned {response.status}")
-        if not response.body:
-            raise ActorFetchFailed(f"{uri}: actor endpoint returned an empty body")
-        try:
-            actor = validate_actor_document(response.body)
-        except Exception as exc:
-            raise ActorFetchFailed(f"{uri}: invalid actor document: {exc}") from exc
-        if actor.id != uri:
-            raise ActorFetchFailed(f"{uri}: document claims to be {actor.id}")
-
+        actor = actor_from_document(fetch_actor_document(self.transport, uri), uri)
         with self._actor_cache_lock:
             self._actor_cache[uri] = _CachedActor(actor, now)
             self._actor_cache.move_to_end(uri)

@@ -23,6 +23,7 @@ from .activitypub import (
     PublicKeySpec,
     TagEntry,
     TagKind,
+    uri_host,
 )
 from .errors import RemoteAccount
 
@@ -217,7 +218,7 @@ def visibility_from_audience(
 
 def actor_to_account(actor: Actor, local_domain: str, now: datetime) -> Account:
     """Project a fetched actor onto the account model (id unassigned)."""
-    host = actor.id.split("//", 1)[-1].split("/", 1)[0].split(":", 1)[0].lower()
+    host = uri_host(actor.id)
     if host == local_domain.lower():
         acct = actor.preferred_username
     else:

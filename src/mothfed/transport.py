@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Protocol
 from urllib.parse import parse_qs, urlsplit
 
-from .errors import TransportError
+from .errors import MothError, TransportError
 
 
 @dataclass
@@ -63,6 +63,21 @@ class Transport(Protocol):
     def request(self, request: HttpRequest) -> HttpResponse:
         """Deliver the request; raise TransportError if no response arrives."""
         ...
+
+
+def get_body(
+    transport: Transport, url: str, accept: str, error: type[MothError], what: str
+) -> bytes:
+    """The body of a non-empty 200 to a GET of url; anything else raises `error`."""
+    try:
+        response = transport.request(HttpRequest("GET", url, {"Accept": accept}))
+    except TransportError as exc:
+        raise error(f"{what}: {exc}") from exc
+    if response.status != 200:
+        raise error(f"{what} returned {response.status}")
+    if not response.body:
+        raise error(f"{what} body empty")
+    return response.body
 
 
 class UrllibTransport:

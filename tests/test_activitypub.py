@@ -138,6 +138,8 @@ def test_parse_activity_rejects_non_object_payloads():
         parse_activity("[1, 2, 3]")
     with pytest.raises(MalformedDocument):
         parse_activity("not json at all")
+    with pytest.raises(MalformedDocument):
+        parse_activity("[" * 100_000)
 
 
 def test_parse_activity_requires_type_then_actor():

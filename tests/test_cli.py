@@ -256,6 +256,37 @@ class TestProbe:
         assert [step.ok for step in steps] == [True, True, True, True, True, False]
         assert steps[-1].name == "public key parse"
 
+    def test_plain_http_self_link_fails_parse_outside_test_mode(self):
+        webfinger_url, jrd, actor = self._harvest_documents()
+        steps = run_probe(
+            "bob@remote.test",
+            "probe.local",
+            DictTransport(
+                {
+                    "https://" + webfinger_url[len("http://"):]: jrd,
+                    "http://remote.test/users/bob": actor,
+                }
+            ),
+        )
+        assert steps[-1].name == "WebFinger parse"
+        assert not steps[-1].ok
+        assert "not https" in steps[-1].detail
+
+    def test_actor_document_for_another_id_fails_validation(self):
+        webfinger_url, jrd, actor = self._harvest_documents()
+        document = json.loads(actor.body)
+        document["id"] = "http://remote.test/users/mallory"
+        other = type(actor)(200, dict(actor.headers), json.dumps(document).encode())
+        steps = run_probe(
+            "bob@remote.test",
+            "probe.local",
+            DictTransport({webfinger_url: jrd, "http://remote.test/users/bob": other}),
+            test_mode=True,
+        )
+        assert steps[-1].name == "actor validation"
+        assert not steps[-1].ok
+        assert "users/mallory" in steps[-1].detail
+
     def test_cmd_probe_exit_codes(self, remote_world, capsys):
         _, transport = remote_world
         config = Config(domain="probe.local", test_mode=True)

@@ -3,7 +3,7 @@ from datetime import datetime, timezone
 
 import pytest
 
-from mothfed.activitypub import PUBLIC_COLLECTION, Note, TagEntry, TagKind
+from mothfed.activitypub import PUBLIC_COLLECTION, Note, TagEntry, TagKind, actor_from_dict
 from mothfed.errors import RemoteAccount
 from mothfed.mastodon import (
     Account,
@@ -176,6 +176,23 @@ def test_actor_to_account_local_gets_bare_acct():
     account = actor_to_account(actor, LOCAL_DOMAIN, NOW)
     assert account.acct == "alice"
     assert not account.is_remote
+
+
+def test_actor_to_account_takes_the_host_the_actor_parser_reads():
+    # Ids actor_from_dict accepts; the acct host is the host its endpoint checks compare.
+    for actor_id, acct in (
+        ("http://x@b.test/users/bob", "bob@b.test"),
+        ("http://[::1]:8080/users/bob", "bob@::1"),
+        ("https://B.Test:8443/users/bob", "bob@b.test"),
+    ):
+        actor = actor_from_dict({
+            "type": "Person",
+            "id": actor_id,
+            "preferredUsername": "bob",
+            "inbox": f"{actor_id}/inbox",
+            "publicKey": {"publicKeyPem": "pem"},
+        })
+        assert actor_to_account(actor, LOCAL_DOMAIN, NOW).acct == acct
 
 
 def test_account_to_actor_builds_conventional_uris():

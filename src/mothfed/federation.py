@@ -77,7 +77,6 @@ class QueueReport:
     delivered: int
     retried: int
     failed: int
-    outcomes: tuple[tuple[int, str], ...]
 
 
 def _warning(message: str) -> Effect:
@@ -393,21 +392,18 @@ class FederationEngine:
         """Attempt every task due at `now`. Failures are data, never raised."""
         with self._queue_lock:
             due = self.store.due_tasks(now)
-            attempted = delivered = retried = failed = 0
-            outcomes: list[tuple[int, str]] = []
+            delivered = retried = failed = 0
             for task in due:
-                attempted += 1
                 updated = self._attempt(task, now, transport)
                 self.store.save_task(updated)
                 assert updated.result is not None
-                outcomes.append((updated.task_id, updated.result))
                 if updated.terminal and updated.result.startswith("delivered"):
                     delivered += 1
                 elif updated.terminal:
                     failed += 1
                 else:
                     retried += 1
-            return QueueReport(attempted, delivered, retried, failed, tuple(outcomes))
+            return QueueReport(len(due), delivered, retried, failed)
 
     def _attempt(self, task: DeliveryTask, now: float, transport: Transport) -> DeliveryTask:
         body = task.activity_body.encode("utf-8")

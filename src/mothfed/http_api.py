@@ -260,17 +260,12 @@ class HttpApi:
         cached: set[str] = set()
 
         def fetch(uri: str) -> Actor:
-            found = node.cached_actor(uri)
-            if found is not None:
+            if node.cached_actor(uri) is not None:
                 cached.add(uri)
-                return found
             return node.fetch_actor(uri)
 
         def refetch(uri: str) -> Actor | None:
-            if uri not in cached:
-                return None
-            node.forget_actor(uri)
-            return node.fetch_actor(uri)
+            return node.fetch_actor(uri, refresh=True) if uri in cached else None
 
         return verify_signature(
             method=request.method,
@@ -280,7 +275,6 @@ class HttpApi:
             actor_fetch=fetch,
             now=node.now_dt(),
             actor_refetch=refetch,
-            public_key=node.public_key,
         )
 
     def _outbox(self, name: str) -> HttpResponse:

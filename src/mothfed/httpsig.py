@@ -9,6 +9,7 @@ return a distinct 401 reason.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import re
 from dataclasses import dataclass
@@ -147,9 +148,15 @@ def parse_signature_header(value: str) -> SignatureParams:
 def load_public_key(actor: Actor) -> PublicKeyTypes:
     """The actor document's parsed public key; BadSignature if it is unusable."""
     try:
-        return serialization.load_pem_public_key(actor.public_key.pem.encode("ascii"))
+        return _parse_public_pem(actor.public_key.pem)
     except (ValueError, UnicodeEncodeError) as exc:
         raise BadSignature(f"actor's public key is unusable: {exc}") from exc
+
+
+@functools.lru_cache(maxsize=4096)
+def _parse_public_pem(pem: str) -> PublicKeyTypes:
+    """Parsed once per distinct PEM: a rotated key is a new PEM, and a raise is not kept."""
+    return serialization.load_pem_public_key(pem.encode("ascii"))
 
 
 def verify_signature(
@@ -160,7 +167,6 @@ def verify_signature(
     actor_fetch: Callable[[str], Actor],
     now: datetime,
     actor_refetch: Callable[[str], Actor | None] | None = None,
-    public_key: Callable[[Actor], PublicKeyTypes] = load_public_key,
 ) -> Actor:
     """Verify a signed request and return the actor owning the signing key.
 
@@ -168,8 +174,6 @@ def verify_signature(
     ActorFetchFailed. When the signature does not verify against that
     document's key, actor_refetch (if given) is asked once for a fresher
     document, or None when there is none: the key may have been rotated.
-    public_key maps a document to its parsed key, so a caller that caches
-    documents can parse each one's key once.
     Raises NoSignature, StaleDate, DigestMismatch, BadSignature, or
     ActorFetchFailed; each carries its own reason string.
     """
@@ -214,22 +218,20 @@ def verify_signature(
 
     actor_uri = params.key_id.split("#", 1)[0]
     actor = actor_fetch(actor_uri)
-    if _key_verifies(actor, public_key, params.signature, message):
+    if _key_verifies(actor, params.signature, message):
         return actor
     fresher = actor_refetch(actor_uri) if actor_refetch is not None else None
-    if fresher is not None and _key_verifies(fresher, public_key, params.signature, message):
+    if fresher is not None and _key_verifies(fresher, params.signature, message):
         return fresher
     raise BadSignature("signature does not verify against the actor's key")
 
 
-def _key_verifies(
-    actor: Actor, key_of: Callable[[Actor], PublicKeyTypes], signature: str, message: bytes
-) -> bool:
+def _key_verifies(actor: Actor, signature: str, message: bytes) -> bool:
     """Whether the actor's key verifies the signature; BadSignature if it cannot tell."""
     key_owner = actor.public_key.owner or actor.id
     if key_owner != actor.id:
         raise BadSignature("key owner does not match the actor document")
-    public_key = key_of(actor)
+    public_key = load_public_key(actor)
     try:
         raw = base64.b64decode(signature, validate=True)
     except ValueError as exc:

@@ -6,17 +6,52 @@ import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Generic, TypeVar
 from urllib.parse import quote, urlsplit
 
 from .activitypub import ACTIVITY_MEDIA_TYPE, Actor, is_absolute_http_uri, validate_actor_document
 from .errors import ActorFetchFailed, MalformedHandle, MothError, NoSelfLink, ResolutionFailed
 from .transport import Transport, get_body
 
-# Resolved handles kept; the least recently used one goes first.
-RESOLVER_CACHE_SIZE = 4096
+# Entries a TtlCache keeps; the least recently used one goes first.
+CACHE_SIZE = 4096
 # How long a resolved handle, or a fetched actor document, is trusted.
 RESOLVE_TTL_SECONDS = 3600.0
+
+K = TypeVar("K")
+V = TypeVar("V")
+
+
+class TtlCache(Generic[K, V]):
+    """A bounded LRU map, safe across threads; an entry RESOLVE_TTL_SECONDS
+    old or older on the injected clock counts as a miss."""
+
+    def __init__(self, clock: Callable[[], float]) -> None:
+        self.clock = clock
+        self._entries: OrderedDict[K, tuple[float, V]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: K) -> V | None:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or self.clock() - entry[0] >= RESOLVE_TTL_SECONDS:
+                return None
+            self._entries.move_to_end(key)
+            return entry[1]
+
+    def put(self, key: K, value: V) -> None:
+        with self._lock:
+            self._entries[key] = (self.clock(), value)
+            self._entries.move_to_end(key)
+            if len(self._entries) > CACHE_SIZE:
+                self._entries.popitem(last=False)
+
+    def pop(self, key: K) -> None:
+        with self._lock:
+            self._entries.pop(key, None)
 
 _USERNAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
 _DOMAIN_RE = re.compile(
@@ -167,11 +202,10 @@ class JrdDocument:
         raise NoSelfLink(f"{self.subject} has no rel=self ActivityPub link")
 
 
-def build_jrd(handle: AcctHandle, actor_uri: str, profile_url: str | None = None) -> JrdDocument:
-    aliases = (actor_uri,) if profile_url is None else (profile_url, actor_uri)
+def build_jrd(handle: AcctHandle, actor_uri: str) -> JrdDocument:
     return JrdDocument(
         subject=handle.acct_uri,
-        aliases=aliases,
+        aliases=(actor_uri,),
         links=(
             JrdLink(rel="self", type=ACTIVITY_MEDIA_TYPE, href=actor_uri),
         ),
@@ -225,7 +259,6 @@ def actor_from_document(body: bytes, uri: str) -> Actor:
 class ResolvedActorRef:
     handle: AcctHandle
     actor_uri: str
-    fetched_at: float
 
 
 class Resolver:
@@ -236,33 +269,19 @@ class Resolver:
         local_domain: str,
         transport: Transport,
         clock: Callable[[], float],
-        ttl_seconds: float = RESOLVE_TTL_SECONDS,
         test_mode: bool = False,
     ) -> None:
         self.local_domain = local_domain.lower()
         self.transport = transport
-        self.clock = clock
-        self.ttl_seconds = ttl_seconds
         self.test_mode = test_mode
-        self._cache: OrderedDict[AcctHandle, ResolvedActorRef] = OrderedDict()
-        self._lock = threading.Lock()
+        self._cache: TtlCache[AcctHandle, ResolvedActorRef] = TtlCache(clock)
 
     def resolve(self, handle: AcctHandle) -> ResolvedActorRef:
         if handle.domain == self.local_domain:
             raise ValueError("resolver is for remote handles only")
-        now = self.clock()
-        with self._lock:
-            cached = self._cache.get(handle)
-            if cached is not None and now - cached.fetched_at < self.ttl_seconds:
-                self._cache.move_to_end(handle)
-                return cached
-
-        body = fetch_jrd(self.transport, handle, self.test_mode)
-        actor_uri = actor_uri_from_jrd(body, handle, self.test_mode)
-        ref = ResolvedActorRef(handle=handle, actor_uri=actor_uri, fetched_at=now)
-        with self._lock:
-            self._cache[handle] = ref
-            self._cache.move_to_end(handle)
-            if len(self._cache) > RESOLVER_CACHE_SIZE:
-                self._cache.popitem(last=False)
+        ref = self._cache.get(handle)
+        if ref is None:
+            body = fetch_jrd(self.transport, handle, self.test_mode)
+            ref = ResolvedActorRef(handle, actor_uri_from_jrd(body, handle, self.test_mode))
+            self._cache.put(handle, ref)
         return ref

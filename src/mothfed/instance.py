@@ -7,23 +7,20 @@ network. All time flows through the injected clock.
 from __future__ import annotations
 
 import secrets
-import threading
 import time
-from collections import OrderedDict
-from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .activitypub import Actor, uri_host
 from .config import Config
 from .errors import ActorFetchFailed, InvalidName, NameTaken, ResolutionFailed, UnknownUser
 from .federation import FederationEngine, QueueReport
 from .http_api import HttpApi
-from .httpsig import generate_rsa_keypair, load_public_key
+from .httpsig import generate_rsa_keypair
 from .identity import (
-    RESOLVE_TTL_SECONDS,
     AcctHandle,
     Resolver,
+    TtlCache,
     actor_from_document,
     fetch_actor_document,
     valid_username,
@@ -31,19 +28,6 @@ from .identity import (
 from .mastodon import Account, account_to_actor, actor_to_account
 from .storage import MemoryStore, open_store
 from .transport import HttpRequest, HttpResponse, Transport, UrllibTransport
-
-if TYPE_CHECKING:
-    from .httpsig import PublicKeyTypes
-
-# Fetched actor documents kept; the least recently used one goes first.
-ACTOR_CACHE_SIZE = 4096
-
-
-@dataclass(slots=True)
-class _CachedActor:
-    actor: Actor
-    fetched_at: float
-    key: PublicKeyTypes | None = None  # parsed by the first signature check
 
 
 class InstanceNode:
@@ -67,8 +51,7 @@ class InstanceNode:
             test_mode=config.test_mode,
         )
         self.engine = FederationEngine(config, self.store, self.clock)
-        self._actor_cache: OrderedDict[str, _CachedActor] = OrderedDict()
-        self._actor_cache_lock = threading.Lock()
+        self._actor_cache: TtlCache[str, Actor] = TtlCache(self.clock)
         self.api = HttpApi(self)
 
     # --- conveniences ---------------------------------------------------------
@@ -153,22 +136,14 @@ class InstanceNode:
 
     def cached_actor(self, actor_uri: str) -> Actor | None:
         """The fetched actor document for a URI, if one is cached and fresh."""
-        uri = actor_uri.split("#", 1)[0]
-        with self._actor_cache_lock:
-            cached = self._actor_cache.get(uri)
-            if cached is None or self.clock() - cached.fetched_at >= RESOLVE_TTL_SECONDS:
-                return None
-            self._actor_cache.move_to_end(uri)
-            return cached.actor
+        return self._actor_cache.get(actor_uri.split("#", 1)[0])
 
-    def fetch_actor(self, actor_uri: str) -> Actor:
-        """Actor document for a URI, via cache, local store, or the network."""
+    def fetch_actor(self, actor_uri: str, refresh: bool = False) -> Actor:
+        """Actor document for a URI, via cache (unless refresh), local store, or the network."""
         uri = actor_uri.split("#", 1)[0]
-        cached = self.cached_actor(uri)
+        cached = None if refresh else self._actor_cache.get(uri)
         if cached is not None:
             return cached
-        now = self.clock()
-
         if uri_host(uri).lower() == self.domain.lower():
             account = self.store.get_account_by_uri(uri)
             if account is None or account.is_remote:
@@ -176,26 +151,11 @@ class InstanceNode:
             return account_to_actor(account, self.base_url)
 
         actor = actor_from_document(fetch_actor_document(self.transport, uri), uri)
-        with self._actor_cache_lock:
-            self._actor_cache[uri] = _CachedActor(actor, now)
-            self._actor_cache.move_to_end(uri)
-            if len(self._actor_cache) > ACTOR_CACHE_SIZE:
-                self._actor_cache.popitem(last=False)
+        self._actor_cache.put(uri, actor)
         return actor
 
-    def public_key(self, actor: Actor) -> PublicKeyTypes:
-        """The actor's parsed key; a cached document's PEM is parsed only once."""
-        with self._actor_cache_lock:
-            cached = self._actor_cache.get(actor.id)
-        if cached is None or cached.actor is not actor:
-            return load_public_key(actor)
-        if cached.key is None:
-            cached.key = load_public_key(actor)
-        return cached.key
-
     def forget_actor(self, actor_uri: str) -> None:
-        with self._actor_cache_lock:
-            self._actor_cache.pop(actor_uri.split("#", 1)[0], None)
+        self._actor_cache.pop(actor_uri.split("#", 1)[0])
 
     def resolve_account(self, handle: AcctHandle) -> Account:
         """Remote handle -> fetched actor -> stored account row."""

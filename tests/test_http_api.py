@@ -6,7 +6,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from mothfed import http_api, httpsig, instance
+from mothfed import http_api, httpsig, identity
 from mothfed.activitypub import (
     ACTIVITY_MEDIA_TYPE,
     AS_CONTEXT,
@@ -303,6 +303,7 @@ def test_a_repeat_is_acknowledged_even_if_its_object_no_longer_parses(node):
 
 def test_deliveries_from_a_cached_actor_parse_its_key_once(node, monkeypatch):
     root = install_remote(node.transport)
+    httpsig._parse_public_pem.cache_clear()  # an earlier test may have parsed this PEM
     loads = count_calls(monkeypatch, httpsig.serialization, "load_pem_public_key")
     for n in range(5):
         create = bob_create(f"http://b.test/users/bob/statuses/{n}")
@@ -877,7 +878,7 @@ def test_responses_never_smuggle_nulls(node):
 
 
 def test_actor_cache_keeps_the_most_recently_used_actors(node, monkeypatch):
-    monkeypatch.setattr(instance, "ACTOR_CACHE_SIZE", 3)
+    monkeypatch.setattr(identity, "CACHE_SIZE", 3)
     uris = [install_remote(node.transport, f"bob{i}") for i in range(4)]
     for uri in uris[:3]:
         node.fetch_actor(uri)
@@ -889,6 +890,19 @@ def test_actor_cache_keeps_the_most_recently_used_actors(node, monkeypatch):
     assert len(node.transport.requests) == fetched
     node.fetch_actor(uris[1])
     assert len(node.transport.requests) == fetched + 1
+
+
+def test_a_cached_actor_document_is_trusted_for_the_ttl_then_fetched_again(node):
+    install_remote(node.transport)
+    assert signed_inbox_post(node, bob_create(), BOB_KEY_ID, REMOTE_PRIVATE).status == 202
+    node.clock.t += identity.RESOLVE_TTL_SECONDS - 1
+    second = bob_create("http://b.test/users/bob/statuses/2")
+    assert signed_inbox_post(node, second, BOB_KEY_ID, REMOTE_PRIVATE).status == 202
+    assert actor_fetches(node) == 1
+    node.clock.t += 1  # the first fetch is now RESOLVE_TTL_SECONDS old
+    third = bob_create("http://b.test/users/bob/statuses/3")
+    assert signed_inbox_post(node, third, BOB_KEY_ID, REMOTE_PRIVATE).status == 202
+    assert actor_fetches(node) == 2
 
 
 # --- one transaction per request ---------------------------------------------------

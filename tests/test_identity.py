@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import pytest
 
@@ -10,6 +12,7 @@ from mothfed.identity import (
     JrdDocument,
     JrdLink,
     Resolver,
+    TtlCache,
     build_jrd,
     parse_acct,
     valid_username,
@@ -77,13 +80,10 @@ def test_valid_username():
 
 
 def test_build_jrd_shape_and_self_link():
-    doc = build_jrd(
-        AcctHandle("alice", LOCAL),
-        "https://local.test/users/alice",
-        profile_url="https://local.test/@alice",
-    )
+    doc = build_jrd(AcctHandle("alice", LOCAL), "https://local.test/users/alice")
     data = json.loads(doc.to_json())
     assert data["subject"] == "acct:alice@local.test"
+    assert doc.aliases == ("https://local.test/users/alice",)
     rels = {link["rel"]: link for link in data["links"]}
     assert rels["self"]["type"] == ACTIVITY_MEDIA_TYPE
     assert rels["self"]["href"] == "https://local.test/users/alice"
@@ -174,7 +174,7 @@ class TickClock:
         return self.t
 
 
-def make_resolver(responses, ttl=3600.0, test_mode=False):
+def make_resolver(responses, test_mode=False):
     # Test-mode resolvers speak plain http; serve the same bodies either way.
     responses = dict(responses)
     for url, outcome in list(responses.items()):
@@ -182,9 +182,7 @@ def make_resolver(responses, ttl=3600.0, test_mode=False):
             responses.setdefault("http://" + url[len("https://"):], outcome)
     transport = ScriptedTransport(responses)
     clock = TickClock()
-    resolver = Resolver(
-        LOCAL, transport, clock=clock, ttl_seconds=ttl, test_mode=test_mode
-    )
+    resolver = Resolver(LOCAL, transport, clock=clock, test_mode=test_mode)
     return resolver, transport, clock
 
 
@@ -243,7 +241,7 @@ def test_resolver_failures_are_not_cached():
 
 
 def test_resolver_cache_keeps_the_most_recently_used_handles(monkeypatch):
-    monkeypatch.setattr(identity, "RESOLVER_CACHE_SIZE", 3)
+    monkeypatch.setattr(identity, "CACHE_SIZE", 3)
     handles = [AcctHandle(f"bob{i}", "b.test") for i in range(4)]
     resolver, transport, _ = make_resolver(
         {webfinger_url(h): jrd_response(h, f"https://b.test/users/{h.username}") for h in handles}
@@ -258,3 +256,33 @@ def test_resolver_cache_keeps_the_most_recently_used_handles(monkeypatch):
     assert len(transport.requests) == 4
     resolver.resolve(handles[1])
     assert len(transport.requests) == 5
+
+
+def test_ttl_cache_keeps_its_bound_under_concurrent_writers(monkeypatch):
+    monkeypatch.setattr(identity, "CACHE_SIZE", 8)
+    cache = TtlCache(TickClock())
+    errors = []
+    start = threading.Barrier(8)
+
+    def churn(writer):
+        try:
+            start.wait(timeout=30)
+            for i in range(2000):
+                cache.put((writer, i), i)
+                cache.get((writer, i - 1))
+        except Exception as exc:  # a lost update can corrupt the LRU order
+            errors.append(exc)
+
+    threads = [threading.Thread(target=churn, args=(n,)) for n in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(cache) == 8  # every put past the bound evicted exactly one entry

@@ -10,7 +10,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .activitypub import (
     ACTIVITY_MEDIA_TYPE,
@@ -23,9 +23,12 @@ from .activitypub import (
     uri_host,
 )
 from .errors import ActorMismatch, DuplicateUri, TombstonedActor
-from .httpsig import sign_request
+from .httpsig import load_private_key, sign_request
 from .mastodon import Account, Status, Visibility, actor_to_account, note_to_status, status_to_note
 from .transport import HttpRequest, Transport, TransportError
+
+if TYPE_CHECKING:
+    from cryptography.hazmat.primitives.asymmetric.types import PrivateKeyTypes
 
 # A task that fails this many times is parked; retry n waits RETRY_BASE_SECONDS * 2**n.
 MAX_ATTEMPTS = 8
@@ -392,9 +395,12 @@ class FederationEngine:
         """Attempt every task due at `now`. Failures are data, never raised."""
         with self._queue_lock:
             due = self.store.due_tasks(now)
+            # Each signer's key is parsed once per batch, and nothing outlives
+            # the batch, so a rotated key signs from the next one.
+            keys: dict[str, PrivateKeyTypes | None] = {}
             delivered = retried = failed = 0
             for task in due:
-                updated = self._attempt(task, now, transport)
+                updated = self._attempt(task, now, transport, keys)
                 self.store.save_task(updated)
                 assert updated.result is not None
                 if updated.terminal and updated.result.startswith("delivered"):
@@ -405,18 +411,28 @@ class FederationEngine:
                     retried += 1
             return QueueReport(len(due), delivered, retried, failed)
 
-    def _attempt(self, task: DeliveryTask, now: float, transport: Transport) -> DeliveryTask:
+    def _attempt(
+        self,
+        task: DeliveryTask,
+        now: float,
+        transport: Transport,
+        keys: dict[str, PrivateKeyTypes | None],
+    ) -> DeliveryTask:
+        """One delivery; keys maps a signer's username to its loaded key, or
+        None when it has no pair, and is filled here on first use."""
         body = task.activity_body.encode("utf-8")
         username = username_from_key_id(task.key_id)
-        keys = self.store.keypair(username)
-        if keys is None:
+        if username not in keys:
+            pair = self.store.keypair(username)
+            keys[username] = load_private_key(pair[0]) if pair is not None else None
+        private_key = keys[username]
+        if private_key is None:
             return replace(task, terminal=True, result=f"failed: no key for {username}")
-        private_pem, _ = keys
         date = datetime.fromtimestamp(now, tz=timezone.utc)
         # Signed fresh on every attempt so the Date header stays in the
         # receiver's skew window across retries.
         _, headers = sign_request(
-            "POST", task.target_inbox, body, task.key_id, private_pem, date
+            "POST", task.target_inbox, body, task.key_id, private_key, date
         )
         headers["Content-Type"] = ACTIVITY_MEDIA_TYPE
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import base64
 import functools
-import hashlib
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -32,7 +31,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:  # importing it loads every key type's native module
-    from cryptography.hazmat.primitives.asymmetric.types import PublicKeyTypes
+    from cryptography.hazmat.primitives.asymmetric.types import PrivateKeyTypes, PublicKeyTypes
 
 ALGORITHM = "rsa-sha256"
 SIGNED_HEADERS = ("(request-target)", "host", "date", "digest")
@@ -63,8 +62,15 @@ def generate_rsa_keypair(bits: int = 2048) -> tuple[str, str]:
     return private_pem, public_pem
 
 
+def sha256(data: bytes) -> bytes:
+    """SHA-256 through cryptography's OpenSSL; hashlib would load a second OpenSSL."""
+    digest = hashes.Hash(hashes.SHA256())
+    digest.update(data)
+    return digest.finalize()
+
+
 def body_digest(body: bytes) -> str:
-    return "SHA-256=" + base64.b64encode(hashlib.sha256(body).digest()).decode("ascii")
+    return "SHA-256=" + base64.b64encode(sha256(body)).decode("ascii")
 
 
 def _request_target(method: str, url: str) -> tuple[str, str]:
@@ -92,22 +98,26 @@ def signing_string(
     return "\n".join(lines)
 
 
+def load_private_key(pem: str) -> PrivateKeyTypes:
+    """Parse and fully validate a private PEM; load once, then sign many requests."""
+    return serialization.load_pem_private_key(pem.encode("ascii"), password=None)
+
+
 def sign_request(
     method: str,
     url: str,
     body: bytes,
     key_id: str,
-    private_key_pem: str,
+    private_key: PrivateKeyTypes,
     date: datetime,
 ) -> tuple[SignatureParams, dict[str, str]]:
-    """Signature params plus the headers to attach to the outbound request."""
-    key = serialization.load_pem_private_key(private_key_pem.encode("ascii"), password=None)
+    """Signature params plus the headers to attach; private_key is from load_private_key."""
     host, target = _request_target(method, url)
     date_text = format_datetime(date.astimezone(timezone.utc), usegmt=True)
     digest = body_digest(body)
     values = {"host": host, "date": date_text, "digest": digest}
     message = signing_string(method, target, values, SIGNED_HEADERS)
-    raw = key.sign(message.encode("utf-8"), padding.PKCS1v15(), hashes.SHA256())
+    raw = private_key.sign(message.encode("utf-8"), padding.PKCS1v15(), hashes.SHA256())
     signature = base64.b64encode(raw).decode("ascii")
     params = SignatureParams(
         key_id=key_id,

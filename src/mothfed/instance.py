@@ -6,7 +6,7 @@ network. All time flows through the injected clock.
 """
 from __future__ import annotations
 
-import secrets
+import os
 import time
 from datetime import datetime, timezone
 from typing import Callable
@@ -85,7 +85,8 @@ class InstanceNode:
             raise NameTaken(username)
         private_pem, public_pem = generate_rsa_keypair(self.config.key_bits)
         actor_uri = self.actor_uri_for(username)
-        issued = token if token is not None else secrets.token_hex(16)
+        # secrets.token_hex, without its import of hmac and so of hashlib's OpenSSL.
+        issued = token if token is not None else os.urandom(16).hex()
         with self.store.transaction():
             account = self.store.upsert_account(
                 Account(
@@ -112,7 +113,7 @@ class InstanceNode:
         assert existing.id is not None
         stored_token = self.store.token_for_account(existing.id)
         if stored_token is None:
-            stored_token = token if token is not None else secrets.token_hex(16)
+            stored_token = token if token is not None else os.urandom(16).hex()
             self.store.save_token(existing.id, stored_token)
         return existing, stored_token
 

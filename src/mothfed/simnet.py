@@ -7,8 +7,8 @@ fixed seed makes whole scenario runs byte-reproducible.
 """
 from __future__ import annotations
 
-import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -20,6 +20,7 @@ from .errors import (
     NotQuiescent,
     TransportError,
 )
+from .httpsig import sha256
 from .instance import InstanceNode
 from .transport import HttpRequest, HttpResponse, Transport
 
@@ -67,7 +68,7 @@ class FaultRule:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     from_domain: str
     method: str
@@ -120,7 +121,7 @@ class VirtualNet:
 
     def _token_for(self, domain: str, username: str) -> str:
         seedling = f"{self.seed}:{domain}:{username}".encode("utf-8")
-        return hashlib.sha256(seedling).hexdigest()[:32]
+        return sha256(seedling).hex()[:32]
 
     def _config_for(self, domain: str) -> Config:
         if self.backend == "file":
@@ -259,7 +260,8 @@ class VirtualNet:
         self.log.append(
             LogEntry(
                 from_domain=from_domain,
-                method=request.method.upper(),
+                # One shared string per method, not a fresh copy per entry.
+                method=sys.intern(request.method.upper()),
                 url=request.url,
                 status=status,
                 fault=fault,

@@ -12,25 +12,34 @@ File layout under the root path:
                                   task, timeline entry, peer, seen activity id,
                                   tombstone, token, key pair and id sequence;
                                   mode 0600, as it holds tokens and private keys
+
+Delivery tasks are the one bounded collection: every pending task is kept, and
+only the newest MAX_TERMINAL_TASKS terminal ones.
 """
 from __future__ import annotations
 
 import json
 import os
-import sqlite3
 import threading
 from bisect import bisect_left, insort
+from collections import OrderedDict
 from contextlib import AbstractContextManager, suppress
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from .errors import DuplicateUri, StorageUnavailable, TombstonedActor, UnknownAccount
 from .federation import DeliveryTask, FollowRelation, Interaction
 from .mastodon import Account, Mention, Status, Visibility
 
+if TYPE_CHECKING:  # imported by FileStore itself, so the memory backend never loads it
+    import sqlite3
+
 MAX_PAGE = 40
+# Terminal delivery tasks kept; past this, save_task drops the one that became
+# terminal first. Pending tasks are never dropped.
+MAX_TERMINAL_TASKS = 1024
 
 
 def _dt_to_text(dt: datetime) -> str:
@@ -99,6 +108,8 @@ class MemoryStore:
         self._tokens: dict[str, int] = {}
         self._token_by_account: dict[int, str] = {}
         self._tasks: dict[int, DeliveryTask] = {}
+        # ids of the terminal tasks in _tasks, in the order they became terminal
+        self._terminal: OrderedDict[int, None] = OrderedDict()
         self._counters: dict[str, int] = {}
 
     def transaction(self) -> AbstractContextManager[Any]:
@@ -510,14 +521,15 @@ class MemoryStore:
                 created_at=now,
                 next_attempt_at=now,
             )
-            self._tasks[task.task_id] = task
+            self._index_task(task)
             self._write("tasks", task.task_id, task)
             return task
 
     def save_task(self, task: DeliveryTask) -> None:
         with self._lock:
-            self._tasks[task.task_id] = task
+            self._index_task(task)
             self._write("tasks", task.task_id, task)
+            self._retire_tasks()
 
     def due_tasks(self, now: float) -> list[DeliveryTask]:
         with self._lock:
@@ -601,6 +613,18 @@ class MemoryStore:
         del self._interactions[item.id]
         self._interaction_by_key.pop((item.kind, item.actor_uri, item.object_uri), None)
         self._interaction_by_activity.pop(item.activity_id, None)
+
+    def _index_task(self, task: DeliveryTask) -> None:
+        self._tasks[task.task_id] = task
+        if task.terminal:
+            self._terminal[task.task_id] = None
+
+    def _retire_tasks(self) -> None:
+        """Drop the longest-terminal tasks beyond MAX_TERMINAL_TASKS."""
+        while len(self._terminal) > MAX_TERMINAL_TASKS:
+            task_id, _ = self._terminal.popitem(last=False)
+            del self._tasks[task_id]
+            self._write("tasks", task_id, None)
 
     def _index_token(self, account_id: int, token: str) -> None:
         self._unindex_token(account_id)
@@ -689,6 +713,8 @@ class _CommitLock:
         self._depth += 1
 
     def __exit__(self, *exc_info: Any) -> None:
+        import sqlite3
+
         self._depth -= 1
         try:
             if self._depth == 0 and self._db.in_transaction:
@@ -707,6 +733,8 @@ class FileStore(MemoryStore):
     """MemoryStore over one SQLite table; every commit is fsynced before returning."""
 
     def __init__(self, root: str | os.PathLike[str]) -> None:
+        import sqlite3
+
         super().__init__()
         self.root = Path(root)
         path = self.root / "store.sqlite3"
@@ -748,6 +776,12 @@ class FileStore(MemoryStore):
             self._db.close()
             raise StorageUnavailable(f"cannot read {path}: {exc}") from exc
         self._lock = _CommitLock(self._lock, self._db)
+        # Rows load in key-text order, and when each task became terminal is not
+        # stored: the loaded ones age by id. A store kept under a larger bound
+        # is trimmed in one commit.
+        self._terminal = OrderedDict.fromkeys(sorted(self._terminal))
+        with self._lock:
+            self._retire_tasks()
 
     def _load(self, rows: Iterable[tuple[str, str]]) -> None:
         for collection, body in rows:
@@ -762,8 +796,7 @@ class FileStore(MemoryStore):
                 case "interactions":
                     self._index_interaction(Interaction(**data))
                 case "tasks":
-                    task = DeliveryTask(**data)
-                    self._tasks[task.task_id] = task
+                    self._index_task(DeliveryTask(**data))
                 case "timelines":
                     owner_id, status_id, at = data
                     self._timelines.setdefault(owner_id, {})[status_id] = at
@@ -786,6 +819,8 @@ class FileStore(MemoryStore):
                     raise StorageUnavailable(f"unknown collection {collection!r} in store")
 
     def _write(self, collection: str, key: Any, value: Any) -> None:
+        import sqlite3
+
         try:
             if not self._db.in_transaction:
                 self._db.execute("BEGIN")

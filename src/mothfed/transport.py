@@ -5,8 +5,6 @@ same server code runs behind a real socket or the in-process virtual network.
 """
 from __future__ import annotations
 
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Protocol
 from urllib.parse import parse_qs, urlsplit
@@ -84,9 +82,16 @@ class UrllibTransport:
     """Real network transport used by the CLI (serve, probe)."""
 
     def __init__(self, timeout: float = 15.0):
+        # Loaded when a server builds its transport, so its first delivery does
+        # not pay for it; not on import, as simnet never needs http.client or ssl.
+        import urllib.request
+
         self.timeout = timeout
 
     def request(self, request: HttpRequest) -> HttpResponse:
+        import urllib.error
+        import urllib.request
+
         req = urllib.request.Request(
             request.url,
             data=request.body if request.method in ("POST", "PUT") else None,

@@ -11,10 +11,12 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import os
 import random
 import re
 import string
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 from typing import Any
 from urllib.parse import urlsplit
 
@@ -22,6 +24,7 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import padding
 
+import mothfed
 from mothfed.activitypub import (
     PUBLIC_COLLECTION,
     Activity,
@@ -309,3 +312,20 @@ def independent_verify(
         return True
     except InvalidSignature:
         return False
+
+
+def child_env() -> dict:
+    """The environment for a child Python that must import this same mothfed.
+
+    The child runs from another directory, so a relative PYTHONPATH (the
+    ``PYTHONPATH=src`` way of running the suite) would not resolve there;
+    the directory holding the imported package is put first as an absolute
+    path, which holds whether or not the package is installed.
+    """
+    env = dict(os.environ)
+    package_root = str(Path(mothfed.__file__).resolve().parent.parent)
+    inherited = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = (
+        package_root + os.pathsep + inherited if inherited else package_root
+    )
+    return env

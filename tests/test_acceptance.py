@@ -32,7 +32,12 @@ from mothfed.errors import (
     StaleDate,
 )
 from mothfed.federation import FederationEngine
-from mothfed.httpsig import generate_rsa_keypair, sign_request, verify_signature
+from mothfed.httpsig import (
+    generate_rsa_keypair,
+    load_private_key,
+    sign_request,
+    verify_signature,
+)
 from mothfed.mastodon import Account, Mention, Status, Visibility, status_to_note, note_to_status
 from mothfed.simnet import ScenarioRunner, VirtualNet
 from mothfed.storage import MemoryStore
@@ -387,7 +392,9 @@ def test_criterion_07_signature_security(capsys):
         for i in range(50):
             private_pem, public_pem = generate_rsa_keypair(1024)
             body = json.dumps({"n": i, "pad": rng.random()}).encode("utf-8")
-            _, headers = sign_request("POST", url, body, key_id, private_pem, NOW)
+            _, headers = sign_request(
+                "POST", url, body, key_id, load_private_key(private_pem), NOW
+            )
             fetch = lambda uri, pem=public_pem: actor_with_key(pem)  # noqa: E731
             verified = verify_signature("POST", target, headers, body, fetch, NOW)
             assert verified.public_key.key_id == key_id
@@ -395,7 +402,9 @@ def test_criterion_07_signature_security(capsys):
         private_pem, public_pem = generate_rsa_keypair(1024)
         _, other_public = generate_rsa_keypair(1024)
         body = b'{"type": "Like"}'
-        _, headers = sign_request("POST", url, body, key_id, private_pem, NOW)
+        _, headers = sign_request(
+            "POST", url, body, key_id, load_private_key(private_pem), NOW
+        )
         good_fetch = lambda uri: actor_with_key(public_pem)  # noqa: E731
 
         reasons = set()

@@ -1,6 +1,5 @@
 """CLI commands: config loading, probe walk, account management, serving."""
 import json
-import os
 import shutil
 import signal
 import socket
@@ -9,12 +8,10 @@ import sys
 import time
 import urllib.error
 import urllib.request
-from pathlib import Path
 from urllib.parse import quote
 
 import pytest
 
-import mothfed
 from mothfed.cli import cmd_keygen, cmd_probe, cmd_serve, main, run_probe
 from mothfed.config import Config, load_config
 from mothfed.errors import BindFailed, ConfigError
@@ -22,6 +19,8 @@ from mothfed.instance import InstanceNode
 from mothfed.simnet import VirtualNet, VirtualTransport
 from mothfed.storage import FileStore, open_store
 from mothfed.transport import HttpRequest, Transport, TransportError
+
+from .support import child_env
 
 
 class DictTransport(Transport):
@@ -387,23 +386,6 @@ class TestMainCommands:
         assert excinfo.value.code == 2
 
 
-def _child_env() -> dict:
-    """The environment for a child Python that must import this same mothfed.
-
-    The child runs from another directory, so a relative PYTHONPATH (the
-    ``PYTHONPATH=src`` way of running the suite) would not resolve there;
-    the directory holding the imported package is put first as an absolute
-    path, which holds whether or not the package is installed.
-    """
-    env = dict(os.environ)
-    package_root = str(Path(mothfed.__file__).resolve().parent.parent)
-    inherited = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        package_root + os.pathsep + inherited if inherited else package_root
-    )
-    return env
-
-
 def _wait_for(
     url: str, process: subprocess.Popen, deadline_seconds: float = 15.0
 ) -> None:
@@ -486,7 +468,7 @@ class TestServe:
             stderr=subprocess.PIPE,
             text=True,
             cwd=str(tmp_path),
-            env=_child_env(),
+            env=child_env(),
         )
         base = f"http://127.0.0.1:{port}"
         try:

@@ -21,12 +21,18 @@ from mothfed.activitypub import (
 from mothfed.config import Config
 from mothfed.errors import ActorMismatch, TombstonedActor, TransportError
 from mothfed.federation import MAX_ATTEMPTS, FederationEngine, username_from_key_id
-from mothfed.httpsig import generate_rsa_keypair
+from mothfed.httpsig import generate_rsa_keypair, load_private_key
 from mothfed.mastodon import Account, Mention, Status, Visibility
 from mothfed.storage import FileStore, MemoryStore
 from mothfed.transport import HttpResponse
 
-from .support import FIXED_PUBLIC_PEM, expected_remote_inboxes, gen_status, interactions_on
+from .support import (
+    FIXED_PUBLIC_PEM,
+    expected_remote_inboxes,
+    gen_status,
+    independent_verify,
+    interactions_on,
+)
 
 LOCAL = "local.test"
 NOW = datetime(2024, 1, 1, tzinfo=timezone.utc)
@@ -672,14 +678,18 @@ class ScriptedInboxes:
         return HttpResponse(status=outcome, headers={}, body=b"")
 
 
-def enqueue_one(engine, store, alice, inbox="http://b.test/users/bob/inbox"):
+def enqueue_like(engine, signer, inboxes, n=1):
     activity = Activity(
-        id=f"{alice.actor_uri}#act/1",
+        id=f"{signer.actor_uri}#act/{n}",
         kind=ActivityKind.LIKE,
-        actor=alice.actor_uri,
+        actor=signer.actor_uri,
         object="http://b.test/statuses/1",
     )
-    (task,) = engine.enqueue(activity, signer=alice, inboxes=[inbox])
+    return engine.enqueue(activity, signer=signer, inboxes=inboxes)
+
+
+def enqueue_one(engine, store, alice, inbox="http://b.test/users/bob/inbox"):
+    (task,) = enqueue_like(engine, alice, [inbox])
     return task
 
 
@@ -810,6 +820,67 @@ def test_missing_signing_key_is_a_terminal_failure(world):
     assert transport.requests == []
     stored = store.all_tasks()[0]
     assert stored.terminal and "no key" in stored.result
+
+
+def verifies_with(request, public_pem):
+    return independent_verify(
+        request.method, request.url, request.headers, request.body, public_pem
+    )
+
+
+def test_a_batch_parses_each_signers_key_once(world, monkeypatch):
+    engine, store, clock, alice = world
+    loaded = []
+
+    def counting(pem):
+        loaded.append(pem)
+        return load_private_key(pem)
+
+    monkeypatch.setattr(federation, "load_private_key", counting)
+    inboxes = [f"http://host{i}.test/users/u{i}/inbox" for i in range(12)]
+    enqueue_like(engine, alice, inboxes)
+    transport = ScriptedInboxes()
+    report = engine.process_queue(clock(), transport)
+    assert report.delivered == 12
+    assert loaded == [PRIVATE_PEM]
+    assert all(verifies_with(r, PUBLIC_PEM) for r in transport.requests)
+
+    # Nothing is kept between batches: the next one parses the key again.
+    enqueue_like(engine, alice, inboxes[:3], n=2)
+    assert engine.process_queue(clock(), transport).delivered == 3
+    assert loaded == [PRIVATE_PEM, PRIVATE_PEM]
+
+
+def test_a_rotated_key_signs_from_the_next_batch(world):
+    engine, store, clock, alice = world
+    transport = ScriptedInboxes()
+    enqueue_like(engine, alice, ["http://b.test/users/bob/inbox"])
+    engine.process_queue(clock(), transport)
+    new_private, new_public = generate_rsa_keypair(1024)
+    store.save_keypair("alice", new_private, new_public)
+    enqueue_like(engine, alice, ["http://b.test/users/bob/inbox"], n=2)
+    engine.process_queue(clock(), transport)
+    before, after = transport.requests
+    assert verifies_with(before, PUBLIC_PEM) and not verifies_with(before, new_public)
+    assert verifies_with(after, new_public) and not verifies_with(after, PUBLIC_PEM)
+
+
+def test_a_missing_key_fails_each_of_its_tasks_with_its_own_reason(world):
+    engine, store, clock, alice = world
+    ghost_key = "http://local.test/users/ghost#main-key"
+    ghost_tasks = [
+        store.enqueue_task("{}", f"http://b.test/users/u{i}/inbox", ghost_key, clock())
+        for i in range(3)
+    ]
+    enqueue_like(engine, alice, ["http://b.test/users/bob/inbox"])
+    transport = ScriptedInboxes()
+    report = engine.process_queue(clock(), transport)
+    assert (report.delivered, report.failed) == (1, 3)
+    assert [r.url for r in transport.requests] == ["http://b.test/users/bob/inbox"]
+    tasks = {t.task_id: t for t in store.all_tasks()}
+    for task in ghost_tasks:
+        stored = tasks[task.task_id]
+        assert stored.terminal and stored.result == "failed: no key for ghost"
 
 
 def test_username_from_key_id():

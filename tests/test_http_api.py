@@ -19,7 +19,7 @@ from mothfed.activitypub import (
     validate_actor_document,
 )
 from mothfed.config import Config
-from mothfed.httpsig import generate_rsa_keypair, sign_request
+from mothfed.httpsig import generate_rsa_keypair, load_private_key, sign_request
 from mothfed.identity import AcctHandle, build_jrd
 from mothfed.instance import InstanceNode
 from mothfed.storage import FileStore, MemoryStore
@@ -32,6 +32,7 @@ BASE = f"http://{LOCAL}"
 NOW = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
 REMOTE_PRIVATE, REMOTE_PUBLIC = generate_rsa_keypair(1024)
+REMOTE_KEY = load_private_key(REMOTE_PRIVATE)
 
 
 class Ticker:
@@ -122,7 +123,7 @@ def signed_inbox_post(node, activity_body, key_id, private_pem, date=None, path=
     body = activity_body if isinstance(activity_body, bytes) else activity_body.encode()
     url = f"{BASE}{path}"
     when = date or datetime.fromtimestamp(node.clock(), tz=timezone.utc)
-    _, headers = sign_request("POST", url, body, key_id, private_pem, when)
+    _, headers = sign_request("POST", url, body, key_id, load_private_key(private_pem), when)
     headers["Content-Type"] = ACTIVITY_MEDIA_TYPE
     return node.handle_http(HttpRequest("POST", url, headers, body))
 
@@ -328,14 +329,14 @@ def test_a_repeat_that_fails_a_check_is_refused_as_before(node):
     assert signed_inbox_post(node, body, BOB_KEY_ID, REMOTE_PRIVATE).status == 202
     url = f"{BASE}/users/alice/inbox"
     when = datetime.fromtimestamp(node.clock(), tz=timezone.utc)
-    _, headers = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_PRIVATE, when)
+    _, headers = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_KEY, when)
     forged_private, _ = generate_rsa_keypair(1024)
     cases = [
         ({k: v for k, v in headers.items() if k != "Signature"}, body, "NoSignature"),
-        (sign_request("POST", url, body, BOB_KEY_ID, REMOTE_PRIVATE,
+        (sign_request("POST", url, body, BOB_KEY_ID, REMOTE_KEY,
                       when - timedelta(hours=2))[1], body, "StaleDate"),
         (headers, body + b" ", "DigestMismatch"),
-        (sign_request("POST", url, body, BOB_KEY_ID, forged_private, when)[1],
+        (sign_request("POST", url, body, BOB_KEY_ID, load_private_key(forged_private), when)[1],
          body, "BadSignature"),
     ]
     for request_headers, request_body, reason in cases:
@@ -357,7 +358,7 @@ def test_concurrent_deliveries_of_one_activity_apply_it_once(node):
     url = f"{BASE}/users/alice/inbox"
     body = bob_create().encode()
     when = datetime.fromtimestamp(node.clock(), tz=timezone.utc)
-    _, headers = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_PRIVATE, when)
+    _, headers = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_KEY, when)
     barrier = threading.Barrier(8)
     responses = []
 
@@ -396,7 +397,7 @@ def test_tampered_body_is_401_digest_mismatch(node):
     body = bob_create().encode()
     url = f"{BASE}/users/alice/inbox"
     when = datetime.fromtimestamp(node.clock(), tz=timezone.utc)
-    _, headers = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_PRIVATE, when)
+    _, headers = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_KEY, when)
     response = node.handle_http(HttpRequest("POST", url, headers, body + b" "))
     assert response.status == 401
     assert body_json(response)["error"] == "DigestMismatch"
@@ -449,8 +450,8 @@ def test_rejections_other_than_the_key_check_never_refetch(node):
     url = f"{BASE}/users/alice/inbox"
     body = bob_create("http://b.test/users/bob/statuses/2").encode()
     when = datetime.fromtimestamp(node.clock(), tz=timezone.utc)
-    _, headers = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_PRIVATE, when)
-    stale = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_PRIVATE,
+    _, headers = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_KEY, when)
+    stale = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_KEY,
                          when - timedelta(hours=2))[1]
     unsigned = {k: v for k, v in headers.items() if k != "Signature"}
     no_host = {k: v for k, v in headers.items() if k != "Host"}
@@ -977,7 +978,7 @@ def test_a_crash_inside_an_inbox_request_is_undone_by_the_senders_retry(tmp_path
     url = f"{BASE}/users/alice/inbox"
     body = bob_create().encode()
     when = datetime.fromtimestamp(live.clock(), tz=timezone.utc)
-    _, headers = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_PRIVATE, when)
+    _, headers = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_KEY, when)
     headers["Content-Type"] = ACTIVITY_MEDIA_TYPE
     request = HttpRequest("POST", url, headers, body)
     assert live.handle_http(request).status == 202

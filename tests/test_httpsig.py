@@ -15,6 +15,7 @@ from mothfed.httpsig import (
     SIGNED_HEADERS,
     body_digest,
     generate_rsa_keypair,
+    load_private_key,
     parse_signature_header,
     sign_request,
     verify_signature,
@@ -51,7 +52,7 @@ def fetcher(public_pem, **kwargs):
 
 
 def signed(date=NOW, body=BODY, private_pem=FIXED_PRIVATE_PEM):
-    _, headers = sign_request("POST", URL, body, KEY_ID, private_pem, date)
+    _, headers = sign_request("POST", URL, body, KEY_ID, load_private_key(private_pem), date)
     return headers
 
 
@@ -59,7 +60,9 @@ def signed(date=NOW, body=BODY, private_pem=FIXED_PRIVATE_PEM):
 
 
 def test_sign_request_emits_expected_headers():
-    params, headers = sign_request("POST", URL, BODY, KEY_ID, FIXED_PRIVATE_PEM, NOW)
+    params, headers = sign_request(
+        "POST", URL, BODY, KEY_ID, load_private_key(FIXED_PRIVATE_PEM), NOW
+    )
     assert headers["Host"] == "b.test"
     assert headers["Date"] == "Mon, 01 Jan 2024 12:00:00 GMT"
     assert headers["Digest"] == body_digest(BODY)

@@ -1,5 +1,7 @@
 """Virtual network harness: faults, retries, determinism, scripted scenarios."""
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,8 @@ from mothfed.errors import (
     NotQuiescent,
 )
 from mothfed.simnet import START_TIME, ScenarioRunner, VirtualClock, VirtualNet
+
+from .support import child_env
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -63,6 +67,26 @@ class TestWorldBasics:
         assert first.user_token("a.test", "alice") == second.user_token(
             "a.test", "alice"
         )
+
+    def test_importing_simnet_loads_no_module_it_does_not_use(self):
+        # _hashlib would be a second OpenSSL beside cryptography's.
+        unused = ("sqlite3", "urllib.request", "ssl", "http.client", "_hashlib")
+        code = f"import sys, mothfed.simnet; print([m for m in {unused!r} if m in sys.modules])"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=child_env(), capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.strip() == "[]"
+
+    def test_log_entries_share_one_string_per_method(self):
+        net = federated_pair()
+        net.api("a.test", "get", "/api/v1/accounts/lookup?acct=alice")
+        net.follow("b.test", "bob", "alice@a.test")
+        net.run_until_quiet()
+        methods = {}
+        for entry in net.log:
+            assert methods.setdefault(entry.method, entry.method) is entry.method
+        assert sorted(methods) == ["GET", "POST"]
 
 
 class TestFaults:

@@ -8,9 +8,11 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from mothfed import storage
 from mothfed.errors import DuplicateUri, StorageUnavailable, TombstonedActor, UnknownAccount
 from mothfed.mastodon import Account, Mention, Status, Visibility
-from mothfed.storage import FileStore, MemoryStore, open_store
+from mothfed.simnet import VirtualNet
+from mothfed.storage import MAX_TERMINAL_TASKS, FileStore, MemoryStore, open_store
 
 from .support import interactions_on, may_view
 
@@ -492,6 +494,64 @@ def test_terminal_tasks_leave_the_pending_set(store):
     assert store.due_tasks(100.0) == []
     assert store.next_pending_time() is None
     assert store.all_tasks() == [done]
+
+
+def test_only_the_newest_terminal_tasks_are_kept_and_pending_ones_never_drop(store):
+    with store.transaction():
+        slow = store.enqueue_task("{}", "https://slow.test/inbox", "k#main-key", 0.0)
+        waiting = store.enqueue_task("{}", "https://down.test/inbox", "k#main-key", 0.0)
+        done = []
+        for _ in range(MAX_TERMINAL_TASKS + 5):
+            task = store.enqueue_task("{}", "https://b.test/inbox", "k#main-key", 0.0)
+            store.save_task(replace(task, terminal=True, result="delivered: 202"))
+            done.append(task.task_id)
+        # The oldest task ends last, so it is the newest terminal one.
+        store.save_task(replace(slow, terminal=True, result="failed: status 503"))
+    kept = [t.task_id for t in store.all_tasks()]
+    assert kept == [slow.task_id, waiting.task_id] + done[6:]
+    assert store.due_tasks(1.0) == [waiting]
+    assert store.pending_count() == 1
+
+
+def test_reopen_keeps_the_bound_over_loaded_tasks_lowest_id_first(tmp_path, monkeypatch):
+    monkeypatch.setattr(storage, "MAX_TERMINAL_TASKS", MAX_TERMINAL_TASKS + 10)
+    disk = FileStore(tmp_path / "store")
+    with disk.transaction():
+        ids = []
+        for _ in range(MAX_TERMINAL_TASKS + 10):
+            task = disk.enqueue_task("{}", "https://b.test/inbox", "k#main-key", 0.0)
+            disk.save_task(replace(task, terminal=True, result="delivered: 202"))
+            ids.append(task.task_id)
+        pending = disk.enqueue_task("{}", "https://down.test/inbox", "k#main-key", 0.0)
+    disk.close()
+    monkeypatch.setattr(storage, "MAX_TERMINAL_TASKS", MAX_TERMINAL_TASKS)
+    kept = ids[10:] + [pending.task_id]
+    for _ in range(2):  # the second open finds the dropped rows deleted
+        reopened = FileStore(tmp_path / "store")
+        assert [t.task_id for t in reopened.all_tasks()] == kept
+        assert reopened._db.execute(
+            "SELECT COUNT(*) FROM records WHERE collection = 'tasks'"
+        ).fetchone() == (len(kept),)
+        reopened.close()
+
+
+@pytest.mark.parametrize("backend", ["memory", "file"])
+def test_thousands_of_deliveries_keep_at_most_the_bound_of_tasks(backend, tmp_path):
+    net = VirtualNet(seed=12, backend=backend, storage_root=str(tmp_path))
+    net.spawn_instance("a.test", ["alice"])
+    net.spawn_instance("b.test", ["bob"])
+    net.follow("b.test", "bob", "alice@a.test")
+    for n in range(2000):
+        net.post_status("a.test", "alice", f"post {n}")
+        if n % 200 == 199:
+            net.run_until_quiet()
+    tasks = net.node("a.test").store.all_tasks()
+    assert len(tasks) == MAX_TERMINAL_TASKS
+    assert all(t.terminal and t.result == "delivered: 202" for t in tasks)
+    if backend == "file":
+        net.kill_instance("a.test")
+        reopened = net.respawn_instance("a.test").store
+        assert [t.task_id for t in reopened.all_tasks()] == [t.task_id for t in tasks]
 
 
 # --- concurrency --------------------------------------------------------------------------

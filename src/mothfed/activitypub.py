@@ -150,11 +150,8 @@ ApObject = Union[Actor, Note, Activity]
 # --- serialization ----------------------------------------------------------
 
 
-def _actor_to_dict(actor: Actor, with_context: bool) -> dict[str, Any]:
-    data: dict[str, Any] = {}
-    if with_context:
-        data["@context"] = [AS_CONTEXT, SECURITY_CONTEXT]
-    data["id"] = actor.id
+def _actor_to_dict(actor: Actor) -> dict[str, Any]:
+    data: dict[str, Any] = {"id": actor.id}
     data["type"] = actor.kind.value
     data["preferredUsername"] = actor.preferred_username
     data["inbox"] = actor.inbox
@@ -180,10 +177,8 @@ def _tag_to_dict(tag: TagEntry) -> dict[str, Any]:
     return data
 
 
-def _note_to_dict(note: Note, with_context: bool) -> dict[str, Any]:
+def _note_to_dict(note: Note) -> dict[str, Any]:
     data: dict[str, Any] = {}
-    if with_context:
-        data["@context"] = AS_CONTEXT
     if note.id is not None:
         data["id"] = note.id
     data["type"] = "Note"
@@ -202,10 +197,8 @@ def _note_to_dict(note: Note, with_context: bool) -> dict[str, Any]:
     return data
 
 
-def _activity_to_dict(activity: Activity, with_context: bool) -> dict[str, Any]:
+def _activity_to_dict(activity: Activity) -> dict[str, Any]:
     data: dict[str, Any] = {}
-    if with_context:
-        data["@context"] = AS_CONTEXT
     if activity.id is not None:
         data["id"] = activity.id
     data["type"] = activity.kind.value
@@ -223,23 +216,19 @@ def _activity_to_dict(activity: Activity, with_context: bool) -> dict[str, Any]:
 
 def object_member_to_dict(obj: Union[str, Note, Actor]) -> Any:
     """Wire form of an activity's object member (embedded, no own context)."""
-    if isinstance(obj, str):
-        return obj
-    if isinstance(obj, Note):
-        return _note_to_dict(obj, with_context=False)
-    if isinstance(obj, Actor):
-        return _actor_to_dict(obj, with_context=False)
-    raise TypeError(f"unsupported object member {type(obj).__name__}")
+    return obj if isinstance(obj, str) else to_wire_dict(obj, with_context=False)
 
 
 def to_wire_dict(obj: ApObject, with_context: bool = True) -> dict[str, Any]:
     if isinstance(obj, Actor):
-        return _actor_to_dict(obj, with_context)
-    if isinstance(obj, Note):
-        return _note_to_dict(obj, with_context)
-    if isinstance(obj, Activity):
-        return _activity_to_dict(obj, with_context)
-    raise TypeError(f"unsupported wire object {type(obj).__name__}")
+        data, context = _actor_to_dict(obj), [AS_CONTEXT, SECURITY_CONTEXT]
+    elif isinstance(obj, Note):
+        data, context = _note_to_dict(obj), AS_CONTEXT
+    elif isinstance(obj, Activity):
+        data, context = _activity_to_dict(obj), AS_CONTEXT
+    else:
+        raise TypeError(f"unsupported wire object {type(obj).__name__}")
+    return {"@context": context, **data} if with_context else data
 
 
 def serialize_object(obj: ApObject) -> str:

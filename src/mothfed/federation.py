@@ -112,6 +112,12 @@ class FederationEngine:
     def _now_dt(self) -> datetime:
         return datetime.fromtimestamp(self.clock(), tz=timezone.utc)
 
+    def note_peer(self, actor_uri: str, inbox: str | None) -> None:
+        """Remember a remote actor's domain, with an inbox there, for Delete fan-out."""
+        domain = uri_host(actor_uri)
+        if domain and domain != self.config.domain.lower():
+            self.store.record_peer(domain, inbox)
+
     # --- inbound ------------------------------------------------------------
 
     def handle_inbox(self, activity: Activity, verified_actor: Actor) -> list[Effect]:
@@ -131,9 +137,7 @@ class FederationEngine:
         if store.is_tombstoned(actor.id):
             raise TombstonedActor(actor.id)
 
-        domain = uri_host(actor.id)
-        if domain and domain.lower() != self.config.domain.lower():
-            store.record_peer(domain.lower(), actor.inbox)
+        self.note_peer(actor.id, actor.inbox)
 
         if activity.kind is ActivityKind.DELETE:
             return self._handle_delete(activity, actor)
@@ -367,9 +371,7 @@ class FederationEngine:
 
         tasks = self.enqueue(activity, signer=author, inboxes=list(targets))
         for account in targets.values():
-            domain = uri_host(account.actor_uri)
-            if domain:
-                store.record_peer(domain.lower(), account.inbox_uri)
+            self.note_peer(account.actor_uri, account.inbox_uri)
         return tasks
 
     def propagate_delete(self, account: Account) -> list[DeliveryTask]:
@@ -431,7 +433,7 @@ class FederationEngine:
         date = datetime.fromtimestamp(now, tz=timezone.utc)
         # Signed fresh on every attempt so the Date header stays in the
         # receiver's skew window across retries.
-        _, headers = sign_request(
+        headers = sign_request(
             "POST", task.target_inbox, body, task.key_id, private_key, date
         )
         headers["Content-Type"] = ACTIVITY_MEDIA_TYPE

@@ -1,9 +1,10 @@
 """HTTP surface: WebFinger, ActivityPub S2S endpoints, Mastodon client API.
 
 Every handler is stateless and funnels through HttpApi.handle, which never
-lets an exception escape: unexpected failures become a 500 with a JSON body.
-No route returns 200 with an empty body, and every error body carries a
-machine-readable {"error": reason}.
+lets an exception escape: a handler turns a request down by raising _Refused,
+and unexpected failures become a 500. No route returns 200 with an empty
+body, and every error body is the machine-readable {"error": reason} (with a
+"detail" when there is one) that handle renders.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from .activitypub import (
     parse_activity,
     to_wire_dict,
     type_name,
-    uri_host,
 )
 from .errors import (
     ActorFetchFailed,
@@ -68,6 +68,14 @@ def _error(status: int, reason: str, detail: str | None = None) -> HttpResponse:
     return _json_response(status, payload)
 
 
+class _Refused(Exception):
+    """A request turned down with a 4xx; HttpApi.handle answers it with _error."""
+
+    def __init__(self, status: int, reason: str, detail: str | None = None) -> None:
+        super().__init__(detail)
+        self.status, self.reason, self.detail = status, reason, detail
+
+
 class HttpApi:
     def __init__(self, node) -> None:
         self.node = node
@@ -77,6 +85,8 @@ class HttpApi:
     def handle(self, request: HttpRequest) -> HttpResponse:
         try:
             return self._route(request)
+        except _Refused as refusal:
+            return _error(refusal.status, refusal.reason, refusal.detail)
         except MothError as exc:
             return _error(500, exc.reason, str(exc))
         except Exception as exc:  # noqa: BLE001 - the surface must never crash
@@ -110,32 +120,44 @@ class HttpApi:
             case ("GET", ("api", "v1", "accounts", "lookup")):
                 return self._lookup(request)
             case _:
-                return _error(404, "NotFound", f"no route for {request.method} {request.path}")
+                raise _Refused(404, "NotFound", f"no route for {request.method} {request.path}")
 
     # --- helpers ----------------------------------------------------------------
 
-    def _local_account_or_error(self, name: str) -> Account | HttpResponse:
+    def _local_account(self, name: str) -> Account:
         account = self.node.store.get_local_account(name)
         if account is not None:
             return account
         if self.node.store.is_tombstoned(self.node.actor_uri_for(name)):
-            return _error(410, "Gone", f"account {name} was deleted")
-        return _error(404, "UnknownUser", f"no local account {name}")
+            raise _Refused(410, "Gone", f"account {name} was deleted")
+        raise _Refused(404, "UnknownUser", f"no local account {name}")
 
-    def _bearer_account(self, request: HttpRequest) -> Account | None:
+    def _bearer_account(self, request: HttpRequest) -> Account:
         header = request.header("Authorization") or ""
-        if not header.startswith("Bearer "):
-            return None
-        return self.node.account_for_token(header[len("Bearer "):].strip())
+        account = None
+        if header.startswith("Bearer "):
+            account = self.node.account_for_token(header[len("Bearer "):].strip())
+        if account is None:
+            raise _Refused(401, "Unauthorized", "missing or invalid bearer token")
+        return account
 
-    def _page_params(self, request: HttpRequest) -> tuple[int, int | None] | HttpResponse:
+    def _page_params(self, request: HttpRequest) -> tuple[int, int | None]:
         try:
             limit = int(request.query.get("limit", "20"))
             raw_max = request.query.get("max_id")
-            max_id = int(raw_max) if raw_max is not None else None
+            return limit, int(raw_max) if raw_max is not None else None
         except ValueError:
-            return _error(400, "BadParameter", "limit and max_id must be integers")
-        return limit, max_id
+            raise _Refused(400, "BadParameter", "limit and max_id must be integers") from None
+
+    def _collection(self, collection_uri: str, items: list[Any]) -> HttpResponse:
+        payload = {
+            "@context": AS_CONTEXT,
+            "id": collection_uri,
+            "type": "OrderedCollection",
+            "totalItems": len(items),
+            "orderedItems": items,
+        }
+        return _json_response(200, payload, ACTIVITY_MEDIA_TYPE)
 
     def _render_account(self, account: Account) -> dict[str, Any]:
         return {
@@ -168,27 +190,24 @@ class HttpApi:
     def _webfinger(self, request: HttpRequest) -> HttpResponse:
         resource = request.query.get("resource")
         if not resource:
-            return _error(400, "MissingResource", "resource query parameter required")
+            raise _Refused(400, "MissingResource", "resource query parameter required")
         if not resource.lower().startswith("acct:"):
-            return _error(400, "BadResource", "resource must use the acct: scheme")
+            raise _Refused(400, "BadResource", "resource must use the acct: scheme")
         try:
             handle = parse_acct(resource, self.node.domain)
         except MalformedHandle as exc:
-            return _error(400, "MalformedHandle", str(exc))
+            raise _Refused(400, "MalformedHandle", str(exc)) from exc
         if handle.domain != self.node.domain.lower():
-            return _error(404, "WrongDomain", f"{handle.domain} is not served here")
+            raise _Refused(404, "WrongDomain", f"{handle.domain} is not served here")
+        # No tombstone check: here a deleted account reads as one never created.
         account = self.node.store.get_local_account(handle.username)
         if account is None:
-            return _error(404, "UnknownUser", f"no local account {handle.username}")
-        document = build_jrd(handle, account.actor_uri)
-        return HttpResponse(
-            200, {"Content-Type": JRD_MEDIA_TYPE}, document.to_json().encode("utf-8")
-        )
+            raise _Refused(404, "UnknownUser", f"no local account {handle.username}")
+        body = build_jrd(handle, account.actor_uri)
+        return HttpResponse(200, {"Content-Type": JRD_MEDIA_TYPE}, body)
 
     def _actor(self, request: HttpRequest, name: str) -> HttpResponse:
-        found = self._local_account_or_error(name)
-        if isinstance(found, HttpResponse):
-            return found
+        found = self._local_account(name)
         accept = (request.header("Accept") or "").lower()
         wants_activity = "activity+json" in accept or "ld+json" in accept
         wants_html = "text/html" in accept
@@ -208,13 +227,11 @@ class HttpApi:
     # --- federation ----------------------------------------------------------------
 
     def _inbox(self, request: HttpRequest, name: str) -> HttpResponse:
-        found = self._local_account_or_error(name)
-        if isinstance(found, HttpResponse):
-            return found
+        self._local_account(name)
         try:
             verified = self._verify(request)
         except SignatureError as exc:
-            return _error(401, exc.reason, str(exc))
+            raise _Refused(401, exc.reason, str(exc)) from exc
 
         try:
             data = load_object(request.body)
@@ -229,9 +246,9 @@ class HttpApi:
                 return _json_response(202, {"queued": True, "warnings": []})
             activity = parse_activity(data)
         except MissingRequiredField as exc:
-            return _error(400, exc.reason, f"missing required field: {exc}")
+            raise _Refused(400, exc.reason, f"missing required field: {exc}") from exc
         except MalformedDocument as exc:
-            return _error(400, exc.reason, str(exc))
+            raise _Refused(400, exc.reason, str(exc)) from exc
         except UnsupportedType as exc:
             return _json_response(
                 202, {"queued": False, "reason": exc.reason, "detail": str(exc)}
@@ -240,9 +257,9 @@ class HttpApi:
         try:
             effects = self.node.engine.handle_inbox(activity, verified)
         except ActorMismatch as exc:
-            return _error(401, exc.reason, str(exc))
+            raise _Refused(401, exc.reason, str(exc)) from exc
         except TombstonedActor as exc:
-            return _error(403, exc.reason, str(exc))
+            raise _Refused(403, exc.reason, str(exc)) from exc
 
         warnings = []
         for effect in effects:
@@ -278,48 +295,25 @@ class HttpApi:
         )
 
     def _outbox(self, name: str) -> HttpResponse:
-        found = self._local_account_or_error(name)
-        if isinstance(found, HttpResponse):
-            return found
+        found = self._local_account(name)
         items = []
         for status in self.node.store.statuses_by_account(found.id):
             if status.visibility is not Visibility.PUBLIC:
                 continue
             activity = self.node.engine.create_activity(status, found)
             items.append(to_wire_dict(activity, with_context=False))
-        collection = {
-            "@context": AS_CONTEXT,
-            "id": f"{found.actor_uri}/outbox",
-            "type": "OrderedCollection",
-            "totalItems": len(items),
-            "orderedItems": items,
-        }
-        return _json_response(200, collection, ACTIVITY_MEDIA_TYPE)
-
-    def _uri_collection(self, collection_uri: str, uris: list[str]) -> HttpResponse:
-        payload = {
-            "@context": AS_CONTEXT,
-            "id": collection_uri,
-            "type": "OrderedCollection",
-            "totalItems": len(uris),
-            "orderedItems": uris,
-        }
-        return _json_response(200, payload, ACTIVITY_MEDIA_TYPE)
+        return self._collection(f"{found.actor_uri}/outbox", items)
 
     def _followers(self, name: str) -> HttpResponse:
-        found = self._local_account_or_error(name)
-        if isinstance(found, HttpResponse):
-            return found
+        found = self._local_account(name)
         uris = [
             r.follower_actor_uri
             for r in self.node.store.followers_of(found.id, state="accepted")
         ]
-        return self._uri_collection(f"{found.actor_uri}/followers", uris)
+        return self._collection(f"{found.actor_uri}/followers", uris)
 
     def _following(self, name: str) -> HttpResponse:
-        found = self._local_account_or_error(name)
-        if isinstance(found, HttpResponse):
-            return found
+        found = self._local_account(name)
         uris = []
         for relation in self.node.store.follows_by_follower(found.actor_uri):
             if relation.state != "accepted":
@@ -327,23 +321,21 @@ class HttpApi:
             followee = self.node.store.get_account(relation.followee_account_id)
             if followee is not None:
                 uris.append(followee.actor_uri)
-        return self._uri_collection(f"{found.actor_uri}/following", uris)
+        return self._collection(f"{found.actor_uri}/following", uris)
 
     def _status_document(self, name: str, status_id_text: str) -> HttpResponse:
-        found = self._local_account_or_error(name)
-        if isinstance(found, HttpResponse):
-            return found
+        found = self._local_account(name)
         try:
             status_id = int(status_id_text)
         except ValueError:
-            return _error(404, "NotFound", "status ids are numeric")
+            raise _Refused(404, "NotFound", "status ids are numeric") from None
         status = self.node.store.get_status(status_id)
         if (
             status is None
             or status.account_id != found.id
             or status.visibility is not Visibility.PUBLIC
         ):
-            return _error(404, "NotFound", "no such public status")
+            raise _Refused(404, "NotFound", "no such public status")
         note = self.node.engine.create_activity(status, found).object
         return _json_response(200, to_wire_dict(note), ACTIVITY_MEDIA_TYPE)
 
@@ -351,23 +343,23 @@ class HttpApi:
 
     def _post_status(self, request: HttpRequest) -> HttpResponse:
         author = self._bearer_account(request)
-        if author is None:
-            return _error(401, "Unauthorized", "missing or invalid bearer token")
         try:
             payload = json.loads(request.body or b"{}")
         except ValueError:
-            return _error(400, "MalformedDocument", "request body is not JSON")
+            raise _Refused(400, "MalformedDocument", "request body is not JSON") from None
         if not isinstance(payload, dict):
-            return _error(400, "MalformedDocument", "request body must be a JSON object")
+            raise _Refused(400, "MalformedDocument", "request body must be a JSON object")
 
         text = payload.get("status")
         if not isinstance(text, str) or not text.strip():
-            return _error(422, "EmptyContent", "status text is required")
+            raise _Refused(422, "EmptyContent", "status text is required")
         visibility_name = payload.get("visibility", "public")
         try:
             visibility = Visibility(visibility_name)
         except ValueError:
-            return _error(422, "InvalidVisibility", f"unknown visibility {visibility_name!r}")
+            raise _Refused(
+                422, "InvalidVisibility", f"unknown visibility {visibility_name!r}"
+            ) from None
 
         in_reply_to_id = None
         raw_reply = payload.get("in_reply_to_id")
@@ -375,13 +367,15 @@ class HttpApi:
             try:
                 in_reply_to_id = int(raw_reply)
             except (TypeError, ValueError):
-                return _error(422, "UnknownInReplyTo", f"bad in_reply_to_id {raw_reply!r}")
+                raise _Refused(
+                    422, "UnknownInReplyTo", f"bad in_reply_to_id {raw_reply!r}"
+                ) from None
             if self.node.store.get_status(in_reply_to_id) is None:
-                return _error(422, "UnknownInReplyTo", f"no status {in_reply_to_id}")
+                raise _Refused(422, "UnknownInReplyTo", f"no status {in_reply_to_id}")
 
         mentions, warnings = self._resolve_mentions(text)
         if visibility is Visibility.DIRECT and not mentions:
-            return _error(
+            raise _Refused(
                 422, "NoResolvableMentions", "direct statuses need at least one mention"
             )
 
@@ -437,20 +431,12 @@ class HttpApi:
 
     def _home_timeline(self, request: HttpRequest) -> HttpResponse:
         account = self._bearer_account(request)
-        if account is None:
-            return _error(401, "Unauthorized", "missing or invalid bearer token")
-        params = self._page_params(request)
-        if isinstance(params, HttpResponse):
-            return params
-        limit, max_id = params
+        limit, max_id = self._page_params(request)
         statuses = self.node.store.query_home_timeline(account.id, limit, max_id)
         return _json_response(200, [self._render_status(s) for s in statuses])
 
     def _tag_timeline(self, request: HttpRequest, tag: str) -> HttpResponse:
-        params = self._page_params(request)
-        if isinstance(params, HttpResponse):
-            return params
-        limit, max_id = params
+        limit, max_id = self._page_params(request)
         statuses = self.node.store.query_tag_timeline(tag.lstrip("#").lower(), limit, max_id)
         return _json_response(200, [self._render_status(s) for s in statuses])
 
@@ -464,70 +450,55 @@ class HttpApi:
 
     def _follow(self, request: HttpRequest, account_id_text: str) -> HttpResponse:
         me = self._bearer_account(request)
-        if me is None:
-            return _error(401, "Unauthorized", "missing or invalid bearer token")
         try:
             target_id = int(account_id_text)
         except ValueError:
-            return _error(404, "UnknownAccount", "account ids are numeric")
-        target = self.node.store.get_account(target_id)
+            raise _Refused(404, "UnknownAccount", "account ids are numeric") from None
+        store = self.node.store
+        target = store.get_account(target_id)
         if target is None:
-            return _error(404, "UnknownAccount", f"no account {target_id}")
+            raise _Refused(404, "UnknownAccount", f"no account {target_id}")
         if target.id == me.id:
-            return _error(422, "CannotFollowSelf", "an account cannot follow itself")
-
-        existing = self.node.store.get_follow(me.actor_uri, target.id)
-        if existing is not None:
-            # Repeat request: report current state, send nothing new.
-            return _json_response(200, self._relationship(me, target))
+            raise _Refused(422, "CannotFollowSelf", "an account cannot follow itself")
 
         follow_activity_id = f"{me.actor_uri}#follows/{target.id}"
-        if not target.is_remote:
-            self.node.store.upsert_follow(
-                follower_actor_uri=me.actor_uri,
-                followee_account_id=target.id,
-                state="accepted",
-                follow_activity_id=follow_activity_id,
-                created_at=self.node.clock(),
-            )
-            return _json_response(200, self._relationship(me, target))
-
-        follow = Activity(
-            id=follow_activity_id,
-            kind=ActivityKind.FOLLOW,
-            actor=me.actor_uri,
-            object=target.actor_uri,
-            to=(target.actor_uri,),
-        )
-        with self.node.store.transaction():
-            self.node.store.upsert_follow(
-                follower_actor_uri=me.actor_uri,
-                followee_account_id=target.id,
-                state="pending",
-                follow_activity_id=follow_activity_id,
-                created_at=self.node.clock(),
-            )
-            self.node.engine.enqueue(follow, signer=me, inboxes=[target.inbox_uri])
-            domain = uri_host(target.actor_uri)
-            if domain:
-                self.node.store.record_peer(domain.lower(), target.inbox_uri)
+        # Checked under the store's lock: a repeat request, even a concurrent
+        # one, writes and sends nothing and reports the current state.
+        with store.transaction():
+            if store.get_follow(me.actor_uri, target.id) is None:
+                store.upsert_follow(
+                    follower_actor_uri=me.actor_uri,
+                    followee_account_id=target.id,
+                    state="pending" if target.is_remote else "accepted",
+                    follow_activity_id=follow_activity_id,
+                    created_at=self.node.clock(),
+                )
+                if target.is_remote:
+                    follow = Activity(
+                        id=follow_activity_id,
+                        kind=ActivityKind.FOLLOW,
+                        actor=me.actor_uri,
+                        object=target.actor_uri,
+                        to=(target.actor_uri,),
+                    )
+                    self.node.engine.enqueue(follow, signer=me, inboxes=[target.inbox_uri])
+                    self.node.engine.note_peer(target.actor_uri, target.inbox_uri)
         return _json_response(200, self._relationship(me, target))
 
     def _lookup(self, request: HttpRequest) -> HttpResponse:
         acct = request.query.get("acct")
         if not acct:
-            return _error(400, "MissingAcct", "acct query parameter required")
+            raise _Refused(400, "MissingAcct", "acct query parameter required")
         try:
             handle = parse_acct(acct, self.node.domain)
         except MalformedHandle as exc:
-            return _error(404, "MalformedHandle", str(exc))
+            # 404, where WebFinger answers 400 for the same handle.
+            raise _Refused(404, "MalformedHandle", str(exc)) from exc
         if handle.domain == self.node.domain.lower():
-            found = self._local_account_or_error(handle.username)
-            if isinstance(found, HttpResponse):
-                return found
-            return _json_response(200, self._render_account(found))
-        try:
-            account = self.node.resolve_account(handle)
-        except (ResolutionFailed, ActorFetchFailed) as exc:
-            return _error(404, exc.reason, str(exc))
+            account = self._local_account(handle.username)
+        else:
+            try:
+                account = self.node.resolve_account(handle)
+            except (ResolutionFailed, ActorFetchFailed) as exc:
+                raise _Refused(404, exc.reason, str(exc)) from exc
         return _json_response(200, self._render_account(account))

@@ -23,7 +23,6 @@ from cryptography.exceptions import InvalidSignature
 
 from .activitypub import Actor
 from .errors import (
-    ActorFetchFailed,
     BadSignature,
     DigestMismatch,
     NoSignature,
@@ -110,8 +109,8 @@ def sign_request(
     key_id: str,
     private_key: PrivateKeyTypes,
     date: datetime,
-) -> tuple[SignatureParams, dict[str, str]]:
-    """Signature params plus the headers to attach; private_key is from load_private_key."""
+) -> dict[str, str]:
+    """The headers that sign this request; private_key is from load_private_key."""
     host, target = _request_target(method, url)
     date_text = format_datetime(date.astimezone(timezone.utc), usegmt=True)
     digest = body_digest(body)
@@ -119,22 +118,11 @@ def sign_request(
     message = signing_string(method, target, values, SIGNED_HEADERS)
     raw = private_key.sign(message.encode("utf-8"), padding.PKCS1v15(), hashes.SHA256())
     signature = base64.b64encode(raw).decode("ascii")
-    params = SignatureParams(
-        key_id=key_id,
-        algorithm=ALGORITHM,
-        headers=SIGNED_HEADERS,
-        signature=signature,
-    )
     header = (
         f'keyId="{key_id}",algorithm="{ALGORITHM}",'
         f'headers="{" ".join(SIGNED_HEADERS)}",signature="{signature}"'
     )
-    return params, {
-        "Host": host,
-        "Date": date_text,
-        "Digest": digest,
-        "Signature": header,
-    }
+    return {"Host": host, "Date": date_text, "Digest": digest, "Signature": header}
 
 
 _PARAM_RE = re.compile(r'([A-Za-z]+)="([^"]*)"')

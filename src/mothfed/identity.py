@@ -6,7 +6,7 @@ import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Generic, TypeVar
+from typing import Callable, Generic, TypeVar
 from urllib.parse import quote, urlsplit
 
 from .activitypub import ACTIVITY_MEDIA_TYPE, Actor, is_absolute_http_uri, validate_actor_document
@@ -125,91 +125,14 @@ def parse_acct(text: str, local_domain: str) -> AcctHandle:
     return AcctHandle(username, domain)
 
 
-@dataclass(frozen=True)
-class JrdLink:
-    rel: str
-    type: str | None = None
-    href: str | None = None
-
-
-@dataclass(frozen=True)
-class JrdDocument:
-    subject: str
-    aliases: tuple[str, ...] = ()
-    links: tuple[JrdLink, ...] = ()
-
-    def to_json(self) -> str:
-        links = []
-        for link in self.links:
-            entry: dict[str, Any] = {"rel": link.rel}
-            if link.type is not None:
-                entry["type"] = link.type
-            if link.href is not None:
-                entry["href"] = link.href
-            links.append(entry)
-        data: dict[str, Any] = {"subject": self.subject}
-        if self.aliases:
-            data["aliases"] = list(self.aliases)
-        data["links"] = links
-        return json.dumps(data, ensure_ascii=False)
-
-    @classmethod
-    def from_json(cls, text: str | bytes) -> "JrdDocument":
-        try:
-            data = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-            raise ResolutionFailed(f"WebFinger body is not JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ResolutionFailed("WebFinger body is not a JSON object")
-        subject = data.get("subject")
-        if not isinstance(subject, str):
-            raise ResolutionFailed("WebFinger document has no subject")
-        aliases = tuple(
-            a for a in data.get("aliases", []) if isinstance(a, str)
-        ) if isinstance(data.get("aliases"), list) else ()
-        links = []
-        raw_links = data.get("links")
-        if isinstance(raw_links, list):
-            for item in raw_links:
-                if not isinstance(item, dict):
-                    continue
-                rel = item.get("rel")
-                if not isinstance(rel, str):
-                    continue
-                type_ = item.get("type")
-                href = item.get("href")
-                links.append(
-                    JrdLink(
-                        rel=rel,
-                        type=type_ if isinstance(type_, str) else None,
-                        href=href if isinstance(href, str) else None,
-                    )
-                )
-        return cls(subject=subject, aliases=aliases, links=tuple(links))
-
-    def self_link(self) -> str:
-        """The actor URI advertised by this document.
-
-        Raises NoSelfLink when no rel="self" link with an ActivityPub media
-        type carries an href.
-        """
-        for link in self.links:
-            if link.rel != "self" or link.href is None:
-                continue
-            if link.type is not None and "activity+json" not in link.type and "ld+json" not in link.type:
-                continue
-            return link.href
-        raise NoSelfLink(f"{self.subject} has no rel=self ActivityPub link")
-
-
-def build_jrd(handle: AcctHandle, actor_uri: str) -> JrdDocument:
-    return JrdDocument(
-        subject=handle.acct_uri,
-        aliases=(actor_uri,),
-        links=(
-            JrdLink(rel="self", type=ACTIVITY_MEDIA_TYPE, href=actor_uri),
-        ),
-    )
+def build_jrd(handle: AcctHandle, actor_uri: str) -> bytes:
+    """The WebFinger (RFC 7033) body that points handle at its actor document."""
+    document = {
+        "subject": handle.acct_uri,
+        "aliases": [actor_uri],
+        "links": [{"rel": "self", "type": ACTIVITY_MEDIA_TYPE, "href": actor_uri}],
+    }
+    return json.dumps(document, ensure_ascii=False).encode("utf-8")
 
 
 # Discovery steps, shared by Resolver.resolve, InstanceNode.fetch_actor and `moth-fed probe`.
@@ -230,13 +153,34 @@ def fetch_jrd(transport: Transport, handle: AcctHandle, test_mode: bool) -> byte
 
 
 def actor_uri_from_jrd(body: bytes, handle: AcctHandle, test_mode: bool) -> str:
-    """The actor URI a WebFinger body advertises: absolute, and https outside test mode."""
-    actor_uri = JrdDocument.from_json(body).self_link()
-    if not is_absolute_http_uri(actor_uri):
+    """The actor URI a WebFinger body advertises: the href of its first rel="self"
+    link with an ActivityPub or absent media type; absolute, and https outside test mode."""
+    try:
+        data = json.loads(body)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise ResolutionFailed(f"WebFinger body is not JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ResolutionFailed("WebFinger body is not a JSON object")
+    subject = data.get("subject")
+    if not isinstance(subject, str):
+        raise ResolutionFailed("WebFinger document has no subject")
+    links = data.get("links")
+    for link in links if isinstance(links, list) else ():
+        if not isinstance(link, dict) or link.get("rel") != "self":
+            continue
+        href, media_type = link.get("href"), link.get("type")
+        activity_typed = not isinstance(media_type, str) or (
+            "activity+json" in media_type or "ld+json" in media_type
+        )
+        if isinstance(href, str) and activity_typed:
+            break
+    else:
+        raise NoSelfLink(f"{subject} has no rel=self ActivityPub link")
+    if not is_absolute_http_uri(href):
         raise ResolutionFailed(f"{handle}: self link is not an absolute URI")
-    if not test_mode and urlsplit(actor_uri).scheme != "https":
+    if not test_mode and urlsplit(href).scheme != "https":
         raise ResolutionFailed(f"{handle}: self link is not https")
-    return actor_uri
+    return href
 
 
 def fetch_actor_document(transport: Transport, uri: str) -> bytes:
@@ -255,12 +199,6 @@ def actor_from_document(body: bytes, uri: str) -> Actor:
     return actor
 
 
-@dataclass(frozen=True)
-class ResolvedActorRef:
-    handle: AcctHandle
-    actor_uri: str
-
-
 class Resolver:
     """Turns remote handles into actor URIs via WebFinger, with a TTL cache."""
 
@@ -274,14 +212,15 @@ class Resolver:
         self.local_domain = local_domain.lower()
         self.transport = transport
         self.test_mode = test_mode
-        self._cache: TtlCache[AcctHandle, ResolvedActorRef] = TtlCache(clock)
+        self._cache: TtlCache[AcctHandle, str] = TtlCache(clock)
 
-    def resolve(self, handle: AcctHandle) -> ResolvedActorRef:
+    def resolve(self, handle: AcctHandle) -> str:
+        """The handle's actor URI."""
         if handle.domain == self.local_domain:
             raise ValueError("resolver is for remote handles only")
-        ref = self._cache.get(handle)
-        if ref is None:
+        actor_uri = self._cache.get(handle)
+        if actor_uri is None:
             body = fetch_jrd(self.transport, handle, self.test_mode)
-            ref = ResolvedActorRef(handle, actor_uri_from_jrd(body, handle, self.test_mode))
-            self._cache.put(handle, ref)
-        return ref
+            actor_uri = actor_uri_from_jrd(body, handle, self.test_mode)
+            self._cache.put(handle, actor_uri)
+        return actor_uri

@@ -160,20 +160,18 @@ class InstanceNode:
 
     def resolve_account(self, handle: AcctHandle) -> Account:
         """Remote handle -> fetched actor -> stored account row."""
-        ref = self.resolver.resolve(handle)
-        if self.store.is_tombstoned(ref.actor_uri):
+        actor_uri = self.resolver.resolve(handle)
+        if self.store.is_tombstoned(actor_uri):
             raise ResolutionFailed(f"{handle}: actor was deleted")
         try:
-            actor = self.fetch_actor(ref.actor_uri)
+            actor = self.fetch_actor(actor_uri)
         except ActorFetchFailed as exc:
             raise ResolutionFailed(str(exc)) from exc
         with self.store.transaction():
             account = self.store.upsert_account(
                 actor_to_account(actor, self.domain, self.now_dt())
             )
-            domain = uri_host(actor.id)
-            if domain and domain.lower() != self.domain.lower():
-                self.store.record_peer(domain.lower(), actor.inbox)
+            self.engine.note_peer(actor.id, actor.inbox)
         return account
 
     # --- delivery --------------------------------------------------------------

@@ -392,7 +392,7 @@ def test_criterion_07_signature_security(capsys):
         for i in range(50):
             private_pem, public_pem = generate_rsa_keypair(1024)
             body = json.dumps({"n": i, "pad": rng.random()}).encode("utf-8")
-            _, headers = sign_request(
+            headers = sign_request(
                 "POST", url, body, key_id, load_private_key(private_pem), NOW
             )
             fetch = lambda uri, pem=public_pem: actor_with_key(pem)  # noqa: E731
@@ -402,7 +402,7 @@ def test_criterion_07_signature_security(capsys):
         private_pem, public_pem = generate_rsa_keypair(1024)
         _, other_public = generate_rsa_keypair(1024)
         body = b'{"type": "Like"}'
-        _, headers = sign_request(
+        headers = sign_request(
             "POST", url, body, key_id, load_private_key(private_pem), NOW
         )
         good_fetch = lambda uri: actor_with_key(public_pem)  # noqa: E731

@@ -88,6 +88,67 @@ def test_embedded_object_has_no_context_of_its_own():
     assert "@context" not in data["object"]
 
 
+def test_serialized_bytes_keep_their_member_order():
+    # Peers may hash or diff these bodies, so the exact text is pinned, not just its parse.
+    root = "https://a.test/users/alice"
+    actor = make_actor(
+        public_key=PublicKeySpec(f"{root}#main-key", root, "-----BEGIN PUBLIC KEY-----\nAAAA\n"),
+    )
+    when = datetime(2024, 3, 1, 12, 30, 45, tzinfo=timezone.utc)
+    note = Note(
+        id=f"{root}/statuses/1",
+        content="<p>héllo #moth</p>",
+        attributed_to=root,
+        to=(PUBLIC_COLLECTION,),
+        cc=(f"{root}/followers",),
+        tag_entries=(
+            TagEntry(TagKind.HASHTAG, "#moth", "https://a.test/tags/moth"),
+            TagEntry(TagKind.MENTION, "@bob@b.test"),
+        ),
+        published=when,
+        in_reply_to="https://b.test/n/9",
+    )
+    create = Activity(
+        id=f"{root}/statuses/1/activity",
+        kind=ActivityKind.CREATE,
+        actor=root,
+        object=note,
+        to=note.to,
+        cc=note.cc,
+        published=when,
+    )
+    note_members = (
+        '"id": "https://a.test/users/alice/statuses/1", "type": "Note", '
+        '"attributedTo": "https://a.test/users/alice", "content": "<p>héllo #moth</p>", '
+        '"published": "2024-03-01T12:30:45Z", '
+        '"to": ["https://www.w3.org/ns/activitystreams#Public"], '
+        '"cc": ["https://a.test/users/alice/followers"], '
+        '"tag": [{"type": "Hashtag", "href": "https://a.test/tags/moth", "name": "#moth"}, '
+        '{"type": "Mention", "name": "@bob@b.test"}], "inReplyTo": "https://b.test/n/9"'
+    )
+    assert serialize_object(actor) == (
+        '{"@context": ["https://www.w3.org/ns/activitystreams", "https://w3id.org/security/v1"], '
+        '"id": "https://a.test/users/alice", "type": "Person", "preferredUsername": "alice", '
+        '"inbox": "https://a.test/users/alice/inbox", "outbox": "https://a.test/users/alice/outbox", '
+        '"followers": "https://a.test/users/alice/followers", '
+        '"following": "https://a.test/users/alice/following", '
+        '"publicKey": {"id": "https://a.test/users/alice#main-key", '
+        '"owner": "https://a.test/users/alice", '
+        '"publicKeyPem": "-----BEGIN PUBLIC KEY-----\\nAAAA\\n"}}'
+    )
+    assert serialize_object(note) == (
+        '{"@context": "https://www.w3.org/ns/activitystreams", ' + note_members + "}"
+    )
+    assert serialize_object(create) == (
+        '{"@context": "https://www.w3.org/ns/activitystreams", '
+        '"id": "https://a.test/users/alice/statuses/1/activity", "type": "Create", '
+        '"actor": "https://a.test/users/alice", "published": "2024-03-01T12:30:45Z", '
+        '"to": ["https://www.w3.org/ns/activitystreams#Public"], '
+        '"cc": ["https://a.test/users/alice/followers"], '
+        '"object": {' + note_members + "}}"
+    )
+
+
 def test_mention_tag_wire_shape():
     note = Note(
         id="https://a.test/n/1",

@@ -2,6 +2,7 @@ import json
 import shutil
 import sys
 import threading
+import time
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -85,7 +86,7 @@ def install_remote(transport, username="bob", domain="b.test"):
     jrd = build_jrd(AcctHandle(username, domain), root)
     transport.responses[
         f"http://{domain}/.well-known/webfinger?resource=acct%3A{username}%40{domain}"
-    ] = HttpResponse(200, {"Content-Type": JRD_MEDIA_TYPE}, jrd.to_json().encode())
+    ] = HttpResponse(200, {"Content-Type": JRD_MEDIA_TYPE}, jrd)
     return root
 
 
@@ -123,7 +124,7 @@ def signed_inbox_post(node, activity_body, key_id, private_pem, date=None, path=
     body = activity_body if isinstance(activity_body, bytes) else activity_body.encode()
     url = f"{BASE}{path}"
     when = date or datetime.fromtimestamp(node.clock(), tz=timezone.utc)
-    _, headers = sign_request("POST", url, body, key_id, load_private_key(private_pem), when)
+    headers = sign_request("POST", url, body, key_id, load_private_key(private_pem), when)
     headers["Content-Type"] = ACTIVITY_MEDIA_TYPE
     return node.handle_http(HttpRequest("POST", url, headers, body))
 
@@ -233,6 +234,55 @@ def test_deleted_actor_is_410(node):
     assert body_json(response)["error"] == "Gone"
 
 
+# --- refusals ---------------------------------------------------------------------------
+
+_UNAUTHORIZED = (401, "Unauthorized", "missing or invalid bearer token")
+_BAD_PAGE = (400, "BadParameter", "limit and max_id must be integers")
+
+
+def _account_refusals():
+    """Each per-account route, for a name never created and for one deleted."""
+    routes = [
+        ("GET", "/users/{}"),
+        ("POST", "/users/{}/inbox"),
+        ("GET", "/users/{}/outbox"),
+        ("GET", "/users/{}/followers"),
+        ("GET", "/users/{}/following"),
+        ("GET", "/users/{}/statuses/1"),
+        ("GET", "/api/v1/accounts/lookup?acct={}"),
+    ]
+    for method, path in routes:
+        yield method, path.format("ghost"), None, (404, "UnknownUser", "no local account ghost")
+        yield method, path.format("carol"), None, (410, "Gone", "account carol was deleted")
+    # WebFinger does not tell a deleted account from one never created.
+    yield ("GET", "/.well-known/webfinger?resource=acct%3Acarol%40local.test", None,
+           (404, "UnknownUser", "no local account carol"))
+
+
+def _token_refusals():
+    for token in (None, "Bearer nope"):
+        yield "POST", "/api/v1/statuses", token, _UNAUTHORIZED
+        yield "GET", "/api/v1/timelines/home", token, _UNAUTHORIZED
+        yield "POST", "/api/v1/accounts/1/follow", token, _UNAUTHORIZED
+    for path in ("/api/v1/timelines/home", "/api/v1/timelines/tag/moth"):
+        for query in ("?limit=ten", "?max_id=x", "?limit=5&max_id=1.5"):
+            yield "GET", path + query, "Bearer tok-alice", _BAD_PAGE
+
+
+@pytest.mark.parametrize(
+    "method,path,auth,expected", [*_account_refusals(), *_token_refusals()]
+)
+def test_refusal_table(node, method, path, auth, expected):
+    node.create_user("carol")
+    node.delete_local_account("carol")
+    headers = {"Authorization": auth} if auth else {}
+    response = node.handle_http(HttpRequest(method, f"{BASE}{path}", headers, b""))
+    status, reason, detail = expected
+    assert response.status == status
+    assert response.headers == {"Content-Type": "application/json"}
+    assert response.body == json.dumps({"error": reason, "detail": detail}).encode()
+
+
 # --- inbox ------------------------------------------------------------------------------
 
 
@@ -329,14 +379,14 @@ def test_a_repeat_that_fails_a_check_is_refused_as_before(node):
     assert signed_inbox_post(node, body, BOB_KEY_ID, REMOTE_PRIVATE).status == 202
     url = f"{BASE}/users/alice/inbox"
     when = datetime.fromtimestamp(node.clock(), tz=timezone.utc)
-    _, headers = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_KEY, when)
+    headers = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_KEY, when)
     forged_private, _ = generate_rsa_keypair(1024)
     cases = [
         ({k: v for k, v in headers.items() if k != "Signature"}, body, "NoSignature"),
         (sign_request("POST", url, body, BOB_KEY_ID, REMOTE_KEY,
-                      when - timedelta(hours=2))[1], body, "StaleDate"),
+                      when - timedelta(hours=2)), body, "StaleDate"),
         (headers, body + b" ", "DigestMismatch"),
-        (sign_request("POST", url, body, BOB_KEY_ID, load_private_key(forged_private), when)[1],
+        (sign_request("POST", url, body, BOB_KEY_ID, load_private_key(forged_private), when),
          body, "BadSignature"),
     ]
     for request_headers, request_body, reason in cases:
@@ -358,7 +408,7 @@ def test_concurrent_deliveries_of_one_activity_apply_it_once(node):
     url = f"{BASE}/users/alice/inbox"
     body = bob_create().encode()
     when = datetime.fromtimestamp(node.clock(), tz=timezone.utc)
-    _, headers = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_KEY, when)
+    headers = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_KEY, when)
     barrier = threading.Barrier(8)
     responses = []
 
@@ -397,7 +447,7 @@ def test_tampered_body_is_401_digest_mismatch(node):
     body = bob_create().encode()
     url = f"{BASE}/users/alice/inbox"
     when = datetime.fromtimestamp(node.clock(), tz=timezone.utc)
-    _, headers = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_KEY, when)
+    headers = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_KEY, when)
     response = node.handle_http(HttpRequest("POST", url, headers, body + b" "))
     assert response.status == 401
     assert body_json(response)["error"] == "DigestMismatch"
@@ -450,9 +500,9 @@ def test_rejections_other_than_the_key_check_never_refetch(node):
     url = f"{BASE}/users/alice/inbox"
     body = bob_create("http://b.test/users/bob/statuses/2").encode()
     when = datetime.fromtimestamp(node.clock(), tz=timezone.utc)
-    _, headers = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_KEY, when)
+    headers = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_KEY, when)
     stale = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_KEY,
-                         when - timedelta(hours=2))[1]
+                         when - timedelta(hours=2))
     unsigned = {k: v for k, v in headers.items() if k != "Signature"}
     no_host = {k: v for k, v in headers.items() if k != "Host"}
     cases = [
@@ -797,6 +847,30 @@ def test_follow_remote_account_enqueues_a_follow_activity(node):
     # Asking again must not queue a second Follow.
     api_post(node, f"/api/v1/accounts/{looked_up['id']}/follow", {})
     assert node.pending_deliveries() == 1
+    assert node.store.list_peers() == [("b.test", "http://b.test/users/bob/inbox")]
+
+
+def test_concurrent_follow_requests_queue_one_follow(node, monkeypatch):
+    install_remote(node.transport)
+    bob_id = body_json(get(node, "/api/v1/accounts/lookup?acct=bob%40b.test"))["id"]
+    real_get_follow = node.store.get_follow
+
+    def slow_get_follow(*args):
+        found = real_get_follow(*args)
+        time.sleep(0.05)  # wide enough for both requests to check before either writes
+        return found
+
+    monkeypatch.setattr(node.store, "get_follow", slow_get_follow)
+    threads = [
+        threading.Thread(target=api_post, args=(node, f"/api/v1/accounts/{bob_id}/follow", {}))
+        for _ in range(2)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert node.pending_deliveries() == 1
 
 
 def test_follow_error_modes(node):
@@ -978,7 +1052,7 @@ def test_a_crash_inside_an_inbox_request_is_undone_by_the_senders_retry(tmp_path
     url = f"{BASE}/users/alice/inbox"
     body = bob_create().encode()
     when = datetime.fromtimestamp(live.clock(), tz=timezone.utc)
-    _, headers = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_KEY, when)
+    headers = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_KEY, when)
     headers["Content-Type"] = ACTIVITY_MEDIA_TYPE
     request = HttpRequest("POST", url, headers, body)
     assert live.handle_http(request).status == 202

@@ -9,10 +9,9 @@ from mothfed.activitypub import ACTIVITY_MEDIA_TYPE
 from mothfed.errors import MalformedHandle, NoSelfLink, ResolutionFailed, TransportError
 from mothfed.identity import (
     AcctHandle,
-    JrdDocument,
-    JrdLink,
     Resolver,
     TtlCache,
+    actor_uri_from_jrd,
     build_jrd,
     parse_acct,
     valid_username,
@@ -79,57 +78,75 @@ def test_valid_username():
 # --- JRD documents -------------------------------------------------------------
 
 
+def jrd(*links, subject="acct:x@y.test"):
+    return json.dumps({"subject": subject, "links": list(links)}).encode()
+
+
+X = AcctHandle("x", "y.test")
+
+
 def test_build_jrd_shape_and_self_link():
-    doc = build_jrd(AcctHandle("alice", LOCAL), "https://local.test/users/alice")
-    data = json.loads(doc.to_json())
-    assert data["subject"] == "acct:alice@local.test"
-    assert doc.aliases == ("https://local.test/users/alice",)
-    rels = {link["rel"]: link for link in data["links"]}
-    assert rels["self"]["type"] == ACTIVITY_MEDIA_TYPE
-    assert rels["self"]["href"] == "https://local.test/users/alice"
-    assert doc.self_link() == "https://local.test/users/alice"
+    body = build_jrd(AcctHandle("alice", LOCAL), "https://local.test/users/alice")
+    assert body == (
+        b'{"subject": "acct:alice@local.test", "aliases": ["https://local.test/users/alice"], '
+        b'"links": [{"rel": "self", "type": "application/activity+json", '
+        b'"href": "https://local.test/users/alice"}]}'
+    )
+    assert json.loads(body)["links"][0]["type"] == ACTIVITY_MEDIA_TYPE
+    unicode_body = build_jrd(AcctHandle("bob", "b.test"), "https://b.test/users/bö")
+    assert "https://b.test/users/bö".encode() in unicode_body  # ensure_ascii=False
 
 
 def test_jrd_round_trip():
-    doc = build_jrd(AcctHandle("bob", "b.test"), "https://b.test/users/bob")
-    assert JrdDocument.from_json(doc.to_json()) == doc
+    handle = AcctHandle("bob", "b.test")
+    body = build_jrd(handle, "https://b.test/users/bob")
+    assert actor_uri_from_jrd(body, handle, test_mode=False) == "https://b.test/users/bob"
 
 
 def test_jrd_from_json_rejects_garbage():
-    with pytest.raises(ResolutionFailed):
-        JrdDocument.from_json("not json")
-    with pytest.raises(ResolutionFailed):
-        JrdDocument.from_json("[]")
-    with pytest.raises(ResolutionFailed):
-        JrdDocument.from_json("[" * 100_000)
+    for body in (
+        b"not json",
+        b"[]",
+        b"[" * 100_000,  # nested too deep
+        b'{"links": []}',
+        b'{"subject": 7, "links": []}',
+    ):
+        with pytest.raises(ResolutionFailed):
+            actor_uri_from_jrd(body, X, test_mode=False)
 
 
 def test_self_link_accepts_typeless_and_ld_json_links():
-    ld = JrdDocument(
-        subject="acct:x@y.test",
-        links=(JrdLink(rel="self", type="application/ld+json; profile=\"https://www.w3.org/ns/activitystreams\"", href="https://y.test/u/x"),),
-    )
-    assert ld.self_link() == "https://y.test/u/x"
-    typeless = JrdDocument(
-        subject="acct:x@y.test",
-        links=(JrdLink(rel="self", type=None, href="https://y.test/u/x"),),
-    )
-    assert typeless.self_link() == "https://y.test/u/x"
+    ld_type = 'application/ld+json; profile="https://www.w3.org/ns/activitystreams"'
+    for link in (
+        {"rel": "self", "type": ld_type, "href": "https://y.test/u/x"},
+        {"rel": "self", "href": "https://y.test/u/x"},
+        {"rel": "self", "type": 7, "href": "https://y.test/u/x"},  # a non-string type is absent
+    ):
+        assert actor_uri_from_jrd(jrd(link), X, test_mode=False) == "https://y.test/u/x"
 
 
 def test_self_link_requires_a_usable_self_entry():
-    with pytest.raises(NoSelfLink):
-        JrdDocument(subject="acct:x@y.test", links=()).self_link()
-    with pytest.raises(NoSelfLink):
-        JrdDocument(
-            subject="acct:x@y.test",
-            links=(
-                JrdLink(rel="http://webfinger.net/rel/profile-page",
-                        type="text/html", href="https://y.test/@x"),
-                JrdLink(rel="self", type="text/html", href="https://y.test/@x"),
-                JrdLink(rel="self", type=ACTIVITY_MEDIA_TYPE, href=None),
-            ),
-        ).self_link()
+    profile_page = {"rel": "http://webfinger.net/rel/profile-page", "type": "text/html",
+                    "href": "https://y.test/@x"}
+    html_self = {"rel": "self", "type": "text/html", "href": "https://y.test/@x"}
+    hrefless = {"rel": "self", "type": ACTIVITY_MEDIA_TYPE, "href": None}
+    for body in (
+        jrd(),
+        jrd(profile_page, html_self, hrefless, "not a link"),
+        b'{"subject": "acct:x@y.test"}',
+    ):
+        with pytest.raises(NoSelfLink):
+            actor_uri_from_jrd(body, X, test_mode=False)
+    usable = {"rel": "self", "type": ACTIVITY_MEDIA_TYPE, "href": "https://y.test/u/x"}
+    later = {"rel": "self", "type": ACTIVITY_MEDIA_TYPE, "href": "https://y.test/u/other"}
+    body = jrd(profile_page, html_self, hrefless, "not a link", usable, later)
+    assert actor_uri_from_jrd(body, X, test_mode=False) == "https://y.test/u/x"
+
+
+def test_self_link_must_be_absolute():
+    relative = jrd({"rel": "self", "href": "/u/x"})
+    with pytest.raises(ResolutionFailed, match="not an absolute URI"):
+        actor_uri_from_jrd(relative, X, test_mode=True)
 
 
 # --- resolver -------------------------------------------------------------------
@@ -153,7 +170,7 @@ class ScriptedTransport:
 
 
 def jrd_response(handle, actor_uri):
-    body = build_jrd(handle, actor_uri).to_json().encode()
+    body = build_jrd(handle, actor_uri)
     return HttpResponse(
         status=200, headers={"Content-Type": "application/jrd+json"}, body=body
     )
@@ -191,12 +208,12 @@ def test_resolver_returns_actor_uri_and_caches():
     resolver, transport, clock = make_resolver(
         {webfinger_url(handle): jrd_response(handle, "https://b.test/users/bob")}
     )
-    assert resolver.resolve(handle).actor_uri == "https://b.test/users/bob"
-    assert resolver.resolve(handle).actor_uri == "https://b.test/users/bob"
+    assert resolver.resolve(handle) == "https://b.test/users/bob"
+    assert resolver.resolve(handle) == "https://b.test/users/bob"
     assert len(transport.requests) == 1  # second hit served from cache
 
     clock.t += 3601  # past the TTL: refetch
-    assert resolver.resolve(handle).actor_uri == "https://b.test/users/bob"
+    assert resolver.resolve(handle) == "https://b.test/users/bob"
     assert len(transport.requests) == 2
 
 
@@ -227,7 +244,7 @@ def test_resolver_rejects_non_https_actor_uri_outside_test_mode():
     with pytest.raises(ResolutionFailed):
         resolver.resolve(handle)
     relaxed, _, _ = make_resolver(responses, test_mode=True)
-    assert relaxed.resolve(handle).actor_uri == "http://b.test/users/bob"
+    assert relaxed.resolve(handle) == "http://b.test/users/bob"
 
 
 def test_resolver_failures_are_not_cached():
@@ -237,7 +254,7 @@ def test_resolver_failures_are_not_cached():
     with pytest.raises(ResolutionFailed):
         resolver.resolve(handle)
     transport.responses[url] = jrd_response(handle, "https://b.test/users/bob")
-    assert resolver.resolve(handle).actor_uri == "https://b.test/users/bob"
+    assert resolver.resolve(handle) == "https://b.test/users/bob"
 
 
 def test_resolver_cache_keeps_the_most_recently_used_handles(monkeypatch):

@@ -21,13 +21,13 @@ from __future__ import annotations
 import json
 import os
 import threading
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import OrderedDict
 from contextlib import AbstractContextManager, suppress
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .errors import DuplicateUri, StorageUnavailable, TombstonedActor, UnknownAccount
 from .federation import DeliveryTask, FollowRelation, Interaction
@@ -48,6 +48,28 @@ def _dt_to_text(dt: datetime) -> str:
 
 def _dt_from_text(text: str) -> datetime:
     return datetime.fromisoformat(text).astimezone(timezone.utc)
+
+
+def _put_id(index: dict[Any, list[int]], key: Any, item: int) -> bool:
+    """Add item to index[key], an ascending id list; False if it is there."""
+    ids = index.setdefault(key, [])
+    at = bisect_left(ids, item)  # ids are time-ordered: almost always the end
+    if at < len(ids) and ids[at] == item:
+        return False
+    ids.insert(at, item)
+    return True
+
+
+def _take_id(index: dict[Any, list[int]], key: Any, item: int) -> bool:
+    """Remove item from index[key], dropping the list once empty; False if absent."""
+    ids = index.get(key, [])
+    at = bisect_left(ids, item)
+    if at == len(ids) or ids[at] != item:
+        return False
+    del ids[at]
+    if not ids:
+        del index[key]
+    return True
 
 
 def account_record(account: Account) -> dict[str, Any]:
@@ -89,15 +111,16 @@ class MemoryStore:
         self._local_by_name: dict[str, int] = {}
         self._statuses: dict[int, Status] = {}
         self._status_by_uri: dict[str, int] = {}
-        # tag -> status ids, ascending
+        # Ordered indexes, each an ascending id list kept by _put_id/_take_id:
+        # tag -> status ids, author -> status ids, home timeline owner ->
+        # status ids, and followee -> follow ids.
         self._tag_index: dict[str, list[int]] = {}
-        # owner account id -> {status id -> inserted_at}
-        self._timelines: dict[int, dict[int, float]] = {}
+        self._statuses_of: dict[int, list[int]] = {}
+        self._timelines: dict[int, list[int]] = {}
         self._follows: dict[int, FollowRelation] = {}
         self._follow_by_pair: dict[tuple[str, int], int] = {}
         self._follow_by_activity: dict[str, int] = {}
-        # followee account id -> follow ids
-        self._follows_of: dict[int, set[int]] = {}
+        self._follows_of: dict[int, list[int]] = {}
         self._interactions: dict[int, Interaction] = {}
         self._interaction_by_key: dict[tuple[str, str, str], int] = {}
         self._interaction_by_activity: dict[str, int] = {}
@@ -107,9 +130,9 @@ class MemoryStore:
         self._keys: dict[str, tuple[str, str]] = {}
         self._tokens: dict[str, int] = {}
         self._token_by_account: dict[int, str] = {}
-        self._tasks: dict[int, DeliveryTask] = {}
-        # ids of the terminal tasks in _tasks, in the order they became terminal
-        self._terminal: OrderedDict[int, None] = OrderedDict()
+        self._pending: dict[int, DeliveryTask] = {}
+        # terminal tasks, in the order they became terminal
+        self._terminal: OrderedDict[int, DeliveryTask] = OrderedDict()
         self._counters: dict[str, int] = {}
 
     def transaction(self) -> AbstractContextManager[Any]:
@@ -203,17 +226,14 @@ class MemoryStore:
 
     def statuses_by_account(self, account_id: int) -> list[Status]:
         with self._lock:
-            found = [s for s in self._statuses.values() if s.account_id == account_id]
-            return sorted(found, key=lambda s: s.id or 0, reverse=True)
+            return [self._statuses[i] for i in reversed(self._statuses_of.get(account_id, []))]
 
     # --- timelines -------------------------------------------------------------
 
     def insert_timeline_entry(self, owner_id: int, status_id: int, now: float) -> bool:
         with self._lock:
-            timeline = self._timelines.setdefault(owner_id, {})
-            if status_id in timeline:
+            if not _put_id(self._timelines, owner_id, status_id):
                 return False
-            timeline[status_id] = now
             self._write("timelines", (owner_id, status_id), (owner_id, status_id, now))
             return True
 
@@ -231,45 +251,36 @@ class MemoryStore:
                 return True
         return False
 
+    def _page(
+        self, ids: list[int], limit: int, max_id: int | None, visible: Callable[[Status], bool]
+    ) -> list[Status]:
+        """Newest first, below max_id, up to limit statuses that pass visible."""
+        limit = max(1, min(int(limit), MAX_PAGE))
+        results = []
+        for index in range(len(ids) if max_id is None else bisect_left(ids, max_id), 0, -1):
+            status = self._statuses.get(ids[index - 1])
+            if status is not None and visible(status):
+                results.append(status)
+                if len(results) == limit:
+                    break
+        return results
+
     def query_home_timeline(
         self, account_id: int, limit: int = 20, max_id: int | None = None
     ) -> list[Status]:
-        limit = max(1, min(int(limit), MAX_PAGE))
         with self._lock:
             owner = self._accounts.get(account_id)
             if owner is None:
                 raise UnknownAccount(str(account_id))
-            candidates = sorted(self._timelines.get(account_id, {}), reverse=True)
-            results = []
-            for status_id in candidates:
-                if max_id is not None and status_id >= max_id:
-                    continue
-                status = self._statuses.get(status_id)
-                if status is None:
-                    continue
-                if not self._permitted(owner, status):
-                    continue
-                results.append(status)
-                if len(results) == limit:
-                    break
-            return results
+            ids = self._timelines.get(account_id, [])
+            return self._page(ids, limit, max_id, lambda s: self._permitted(owner, s))
 
     def query_tag_timeline(
         self, tag: str, limit: int = 20, max_id: int | None = None
     ) -> list[Status]:
-        limit = max(1, min(int(limit), MAX_PAGE))
         with self._lock:
             ids = self._tag_index.get(tag, [])
-            end = len(ids) if max_id is None else bisect_left(ids, max_id)
-            results = []
-            for index in range(end - 1, -1, -1):
-                status = self._statuses.get(ids[index])
-                if status is None or status.visibility is not Visibility.PUBLIC:
-                    continue
-                results.append(status)
-                if len(results) == limit:
-                    break
-            return results
+            return self._page(ids, limit, max_id, lambda s: s.visibility is Visibility.PUBLIC)
 
     # --- follows ----------------------------------------------------------------
 
@@ -332,7 +343,7 @@ class MemoryStore:
 
     def followers_of(self, account_id: int, state: str | None = "accepted") -> list[FollowRelation]:
         with self._lock:
-            found = (self._follows[i] for i in sorted(self._follows_of.get(account_id, ())))
+            found = (self._follows[i] for i in self._follows_of.get(account_id, []))
             return [r for r in found if state is None or r.state == state]
 
     def follows_by_follower(self, follower_actor_uri: str) -> list[FollowRelation]:
@@ -386,10 +397,10 @@ class MemoryStore:
 
     def record_peer(self, domain: str, inbox_hint: str | None = None) -> None:
         with self._lock:
-            hint = inbox_hint or self._peers.get(domain)
-            if domain not in self._peers or self._peers[domain] != hint:
-                self._peers[domain] = hint
-                self._write("peers", domain, (domain, hint))
+            # The first inbox recorded stays the domain's hint.
+            if domain not in self._peers or inbox_hint and self._peers[domain] is None:
+                self._peers[domain] = inbox_hint
+                self._write("peers", domain, (domain, inbox_hint))
 
     def list_peers(self) -> list[tuple[str, str | None]]:
         with self._lock:
@@ -446,14 +457,8 @@ class MemoryStore:
     def delete_account_data(self, actor_uri: str) -> dict[str, int]:
         with self._lock:
             self.add_tombstone(actor_uri)
-            report = {
-                "account": 0,
-                "statuses": 0,
-                "timeline_entries": 0,
-                "follows": 0,
-                "interactions": 0,
-                "tokens": 0,
-            }
+            kinds = ("account", "statuses", "timeline_entries", "follows", "interactions", "tokens")
+            report = dict.fromkeys(kinds, 0)
             account_id = self._account_by_uri.get(actor_uri)
             if account_id is None:
                 return report
@@ -461,22 +466,23 @@ class MemoryStore:
             self._write("accounts", account_id, None)
             report["account"] = 1
 
-            dead_statuses = [s for s in self._statuses.values() if s.account_id == account_id]
+            dead_statuses = [self._statuses[i] for i in self._statuses_of.get(account_id, [])]
             for status in dead_statuses:
                 self._unindex_status(status)
                 self._write("statuses", status.id, None)
             report["statuses"] = len(dead_statuses)
 
             # Their own timeline, plus their statuses in everyone else's.
-            for status_id in self._timelines.pop(account_id, {}):
-                self._write("timelines", (account_id, status_id), None)
-                report["timeline_entries"] += 1
-            dead = {s.id for s in dead_statuses}
-            for owner_id, timeline in self._timelines.items():
-                for status_id in dead.intersection(timeline):
-                    timeline.pop(status_id)
-                    self._write("timelines", (owner_id, status_id), None)
-                    report["timeline_entries"] += 1
+            own = [(account_id, i) for i in self._timelines.pop(account_id, [])]
+            others = [
+                (owner_id, status.id)
+                for owner_id in list(self._timelines)
+                for status in dead_statuses
+                if _take_id(self._timelines, owner_id, status.id)
+            ]
+            for key in own + others:
+                self._write("timelines", key, None)
+            report["timeline_entries"] = len(own) + len(others)
 
             dead_follows = [
                 r
@@ -533,23 +539,21 @@ class MemoryStore:
 
     def due_tasks(self, now: float) -> list[DeliveryTask]:
         with self._lock:
-            due = [
-                t for t in self._tasks.values() if not t.terminal and t.next_attempt_at <= now
-            ]
+            due = [t for t in self._pending.values() if t.next_attempt_at <= now]
             return sorted(due, key=lambda t: (t.next_attempt_at, t.task_id))
 
     def pending_count(self) -> int:
         with self._lock:
-            return sum(1 for t in self._tasks.values() if not t.terminal)
+            return len(self._pending)
 
     def next_pending_time(self) -> float | None:
         with self._lock:
-            times = [t.next_attempt_at for t in self._tasks.values() if not t.terminal]
-            return min(times) if times else None
+            return min((t.next_attempt_at for t in self._pending.values()), default=None)
 
     def all_tasks(self) -> list[DeliveryTask]:
         with self._lock:
-            return sorted(self._tasks.values(), key=lambda t: t.task_id)
+            tasks = [*self._pending.values(), *self._terminal.values()]
+            return sorted(tasks, key=lambda t: t.task_id)
 
     # --- indexes ----------------------------------------------------------------------
     # Each indexed collection enters and leaves its dicts through one pair of
@@ -571,20 +575,17 @@ class MemoryStore:
         self._statuses[status.id] = status
         if status.uri:
             self._status_by_uri[status.uri] = status.id
+        _put_id(self._statuses_of, status.account_id, status.id)
         for tag in status.tags:
-            # Ids are time-ordered, so this is almost always an append.
-            insort(self._tag_index.setdefault(tag, []), status.id)
+            _put_id(self._tag_index, tag, status.id)
 
     def _unindex_status(self, status: Status) -> None:
         del self._statuses[status.id]
         if status.uri:
             self._status_by_uri.pop(status.uri, None)
+        _take_id(self._statuses_of, status.account_id, status.id)
         for tag in status.tags:
-            ids = self._tag_index.get(tag)
-            if ids and status.id in ids:
-                ids.remove(status.id)
-                if not ids:
-                    del self._tag_index[tag]
+            _take_id(self._tag_index, tag, status.id)
 
     def _index_follow(self, relation: FollowRelation) -> None:
         self._follows[relation.id] = relation
@@ -592,16 +593,13 @@ class MemoryStore:
         self._follow_by_pair[pair] = relation.id
         if relation.follow_activity_id:
             self._follow_by_activity[relation.follow_activity_id] = relation.id
-        self._follows_of.setdefault(relation.followee_account_id, set()).add(relation.id)
+        _put_id(self._follows_of, relation.followee_account_id, relation.id)
 
     def _unindex_follow(self, relation: FollowRelation) -> None:
         del self._follows[relation.id]
         self._follow_by_pair.pop((relation.follower_actor_uri, relation.followee_account_id), None)
         self._follow_by_activity.pop(relation.follow_activity_id, None)
-        ids = self._follows_of[relation.followee_account_id]
-        ids.discard(relation.id)
-        if not ids:
-            del self._follows_of[relation.followee_account_id]
+        _take_id(self._follows_of, relation.followee_account_id, relation.id)
 
     def _index_interaction(self, item: Interaction) -> None:
         self._interactions[item.id] = item
@@ -615,15 +613,16 @@ class MemoryStore:
         self._interaction_by_activity.pop(item.activity_id, None)
 
     def _index_task(self, task: DeliveryTask) -> None:
-        self._tasks[task.task_id] = task
         if task.terminal:
-            self._terminal[task.task_id] = None
+            self._pending.pop(task.task_id, None)
+            self._terminal[task.task_id] = task
+        else:
+            self._pending[task.task_id] = task
 
     def _retire_tasks(self) -> None:
         """Drop the longest-terminal tasks beyond MAX_TERMINAL_TASKS."""
         while len(self._terminal) > MAX_TERMINAL_TASKS:
             task_id, _ = self._terminal.popitem(last=False)
-            del self._tasks[task_id]
             self._write("tasks", task_id, None)
 
     def _index_token(self, account_id: int, token: str) -> None:
@@ -642,11 +641,7 @@ class MemoryStore:
     def snapshot(self) -> bytes:
         """Canonical byte serialization of the whole store, for equality checks."""
         with self._lock:
-            timelines = sorted(
-                (owner, status_id, at)
-                for owner, entries in self._timelines.items()
-                for status_id, at in entries.items()
-            )
+            timelines = sorted((owner, i) for owner, ids in self._timelines.items() for i in ids)
             data = {
                 "accounts": {str(k): account_record(v) for k, v in sorted(self._accounts.items())},
                 "statuses": {str(k): status_record(v) for k, v in sorted(self._statuses.items())},
@@ -655,13 +650,13 @@ class MemoryStore:
                     str(k): asdict(v) for k, v in sorted(self._interactions.items())
                 },
                 "timelines": timelines,
-                "tag_index": {k: sorted(v) for k, v in sorted(self._tag_index.items())},
+                "tag_index": dict(sorted(self._tag_index.items())),
                 "peers": dict(sorted(self._peers.items())),
                 "seen": sorted(self._seen),
                 "tombstones": sorted(self._tombstones),
                 "tokens": {str(k): v for k, v in sorted(self._token_by_account.items())},
                 "keys": {k: list(v) for k, v in sorted(self._keys.items())},
-                "tasks": {str(k): asdict(v) for k, v in sorted(self._tasks.items())},
+                "tasks": {str(t.task_id): asdict(t) for t in self.all_tasks()},
                 "counters": dict(sorted(self._counters.items())),
             }
             return json.dumps(data, sort_keys=True, ensure_ascii=False).encode("utf-8")
@@ -779,7 +774,7 @@ class FileStore(MemoryStore):
         # Rows load in key-text order, and when each task became terminal is not
         # stored: the loaded ones age by id. A store kept under a larger bound
         # is trimmed in one commit.
-        self._terminal = OrderedDict.fromkeys(sorted(self._terminal))
+        self._terminal = OrderedDict(sorted(self._terminal.items()))
         with self._lock:
             self._retire_tasks()
 
@@ -798,8 +793,8 @@ class FileStore(MemoryStore):
                 case "tasks":
                     self._index_task(DeliveryTask(**data))
                 case "timelines":
-                    owner_id, status_id, at = data
-                    self._timelines.setdefault(owner_id, {})[status_id] = at
+                    owner_id, status_id, _ = data
+                    _put_id(self._timelines, owner_id, status_id)
                 case "peers":
                     domain, hint = data
                     self._peers[domain] = hint

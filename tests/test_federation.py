@@ -636,6 +636,21 @@ def test_fan_out_serializes_the_activity_once_for_all_inboxes(world, monkeypatch
     assert all(t.activity_body is deletes[0].activity_body for t in deletes)
 
 
+def test_fan_out_writes_a_peer_row_once_per_new_domain(world, monkeypatch):
+    engine, store, _, alice = world
+    followers = [remote_account(store, f"user{i}", "b.test") for i in range(4)]
+    for i, follower in enumerate(followers):
+        store.upsert_follow(follower.actor_uri, alice.id, "accepted", f"http://x/{i}", 0.0)
+    writes = []
+    monkeypatch.setattr(store, "_write", lambda collection, key, value: writes.append(collection))
+    for n in range(3):
+        assert len(engine.fan_out(local_status(alice, n), alice)) == 4
+    assert writes.count("peers") == 1
+    # The first follower's inbox is the hint a Delete goes to.
+    assert store.list_peers() == [("b.test", followers[0].inbox_uri)]
+    assert [t.target_inbox for t in engine.propagate_delete(alice)] == [followers[0].inbox_uri]
+
+
 # --- propagate_delete ----------------------------------------------------------------------
 
 

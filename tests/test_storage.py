@@ -3,6 +3,7 @@ import os
 import random
 import sys
 import threading
+import time
 from dataclasses import asdict, replace
 from datetime import datetime, timedelta, timezone
 
@@ -448,6 +449,14 @@ def test_delete_account_data_reports_what_it_removed(store):
     assert store.get_account_by_uri(bob.actor_uri) is not None
     assert store.get_status(s3.id) is not None
     assert [s.id for s in store.query_home_timeline(bob.id)] == []
+    # alice's ids are gone from every ordered index, and no emptied list stays.
+    assert store._statuses_of == {bob.id: [s3.id]}
+    assert store._timelines == {} and store._tag_index == {} and store._follows_of == {}
+    if isinstance(store, FileStore):
+        reopened = FileStore(store.root)
+        assert reopened.snapshot() == store.snapshot()
+        assert reopened._statuses_of == {bob.id: [s3.id]} and reopened._timelines == {}
+        reopened.close()
 
 
 def test_delete_account_data_keeps_the_keypair(store):
@@ -552,6 +561,57 @@ def test_thousands_of_deliveries_keep_at_most_the_bound_of_tasks(backend, tmp_pa
         net.kill_instance("a.test")
         reopened = net.respawn_instance("a.test").store
         assert [t.task_id for t in reopened.all_tasks()] == [t.task_id for t in tasks]
+
+
+# --- cost as the store grows --------------------------------------------------------------
+
+
+def cheapest(call, repeats=50):
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def test_reads_cost_about_the_same_at_a_hundred_times_the_entries():
+    """A 20-status home page and one author's 20 statuses, at 10^3 and 10^5
+    statuses in the store and in the owner's home timeline; and the three queue
+    queries with no terminal task held and with MAX_TERMINAL_TASKS of them."""
+
+    def world(size, terminal):
+        store = MemoryStore()
+        owner = store.upsert_account(account("owner"))
+        author = store.upsert_account(account("author"))
+        template = replace(status(owner, 0), uri="")
+        for status_id in range(1, size + 1):
+            # The author's 20 statuses are spread through the owner's.
+            by = author if status_id % (size // 20) == 0 else owner
+            store.store_status(replace(template, id=status_id, account_id=by.id))
+            store.insert_timeline_entry(owner.id, status_id, 0.0)
+        for n in range(4 + terminal):
+            task = store.enqueue_task("{}", "https://b.test/inbox", "k#main-key", float(n))
+            if n >= 4:
+                store.save_task(replace(task, terminal=True, result="delivered: 202"))
+        assert store.pending_count() == 4 and len(store.all_tasks()) == 4 + terminal
+        assert len(store.statuses_by_account(author.id)) == 20
+        return store, owner, author
+
+    def reads(world):
+        store, owner, author = world
+        return {
+            "home page": lambda: store.query_home_timeline(owner.id, 20),
+            "author's statuses": lambda: store.statuses_by_account(author.id),
+            "queue queries": lambda: (
+                store.due_tasks(2.0), store.pending_count(), store.next_pending_time()
+            ),
+        }
+
+    small = reads(world(10**3, 0))
+    large = reads(world(10**5, MAX_TERMINAL_TASKS))
+    ratios = {name: cheapest(large[name]) / cheapest(small[name]) for name in small}
+    assert all(ratio <= 10 for ratio in ratios.values()), ratios
 
 
 # --- concurrency --------------------------------------------------------------------------
@@ -691,6 +751,8 @@ def test_reopen_rebuilds_every_index_the_live_writes_kept(tmp_path):
                 for followee in (alice, bob, carol)
                 for state in ("accepted", None)
             ],
+            [store.statuses_by_account(a.id) for a in (alice, bob, carol)],
+            [store.query_home_timeline(a.id) for a in (alice, bob)],
             # Last, as it removes what it finds.
             [
                 store.remove_interaction_by_activity(f"https://x/{name}")
@@ -700,7 +762,8 @@ def test_reopen_rebuilds_every_index_the_live_writes_kept(tmp_path):
 
     expected = answers(live)
     assert answers(reopened) == expected
-    follows, by_activity, statuses, tags, locals_, tokens, followers, interactions = expected
+    follows, by_activity, statuses, tags, locals_, tokens, followers = expected[:7]
+    authored, homes, interactions = expected[7:]
     assert follows[2] is not None and follows[2].follow_activity_id == "https://x/f1-again"
     assert [f is not None for f in by_activity] == [False, True, True, False]
     assert statuses == [s1, s2, s3, None]
@@ -710,6 +773,8 @@ def test_reopen_rebuilds_every_index_the_live_writes_kept(tmp_path):
     assert [[r.follow_activity_id for r in found] for found in followers] == [
         [], ["https://x/f1-again"], ["https://x/f2"], ["https://x/f2"], [], []
     ]
+    assert authored == [[s2, s1], [s3], []]
+    assert homes == [[s3, s2, s1], []]  # bob's follow of alice went back to pending
     assert [i is not None for i in interactions] == [False, True, False, False]
     live.close()
     reopened.close()
@@ -787,9 +852,17 @@ def test_unchanged_account_and_peer_are_not_written_again():
     store.record_peer("b.test", "https://b.test/inbox")
     store.record_peer("b.test")
     assert writes == []
+    # The first inbox recorded stays the hint: a different one is not written.
     store.record_peer("b.test", "https://b.test/shared-inbox")
     store.upsert_account(account("alice", display_name="Alice"))
-    assert writes == ["peers", "accounts"]
+    assert writes == ["accounts"]
+    assert store.list_peers() == [("b.test", "https://b.test/inbox")]
+    # A domain recorded without a hint takes the first one that arrives.
+    store.record_peer("c.test")
+    store.record_peer("c.test", "https://c.test/users/carol/inbox")
+    store.record_peer("c.test", "https://c.test/users/dave/inbox")
+    assert writes == ["accounts", "peers", "peers"]
+    assert store.list_peers()[1] == ("c.test", "https://c.test/users/carol/inbox")
 
 
 def test_file_store_concurrent_commits_all_reach_disk(tmp_path):

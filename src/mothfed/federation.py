@@ -105,16 +105,14 @@ class FederationEngine:
         self.config = config
         self.store = store
         self.clock = clock
-        # Idempotency check and write must be one step across handlers.
-        self._inbox_lock = threading.Lock()
         self._queue_lock = threading.Lock()
 
     def _now_dt(self) -> datetime:
         return datetime.fromtimestamp(self.clock(), tz=timezone.utc)
 
-    def note_peer(self, actor_uri: str, inbox: str | None) -> None:
-        """Remember a remote actor's domain, with an inbox there, for Delete fan-out."""
-        domain = uri_host(actor_uri)
+    def note_peer(self, inbox: str) -> None:
+        """Remember a remote inbox's domain, with that inbox, for Delete fan-out."""
+        domain = uri_host(inbox)
         if domain and domain != self.config.domain.lower():
             self.store.record_peer(domain, inbox)
 
@@ -126,8 +124,9 @@ class FederationEngine:
                 f"activity actor {activity.actor} != signer {verified_actor.id}"
             )
         # One transaction: the seen id commits together with what it admits,
-        # so a crash cannot leave an activity marked seen but not applied.
-        with self._inbox_lock, self.store.transaction():
+        # so a crash cannot leave an activity marked seen but not applied, and
+        # the store's lock makes the idempotency check and write one step.
+        with self.store.transaction():
             return self._dispatch(activity, verified_actor)
 
     def _dispatch(self, activity: Activity, actor: Actor) -> list[Effect]:
@@ -137,7 +136,7 @@ class FederationEngine:
         if store.is_tombstoned(actor.id):
             raise TombstonedActor(actor.id)
 
-        self.note_peer(actor.id, actor.inbox)
+        self.note_peer(actor.inbox)
 
         if activity.kind is ActivityKind.DELETE:
             return self._handle_delete(activity, actor)
@@ -181,32 +180,33 @@ class FederationEngine:
             Effect("StoreStatus", {"status_id": stored.id, "uri": stored.uri})
         ]
         effects.extend(_warning(w) for w in warnings)
-        effects.extend(self.local_fan_in(stored, sender, include_author=False))
+        effects.extend(self.local_fan_in(stored, sender))
         return effects
 
-    def local_fan_in(
-        self, status: Status, author: Account, include_author: bool
-    ) -> list[Effect]:
-        """Insert a stored status into every local home timeline that gets it:
-        the author's own (when local), mentioned locals at any visibility, and
-        local accepted followers for public/followers statuses."""
+    def _audience(self, status: Status, author: Account) -> list[Account]:
+        """The known accounts a status reaches, once each and in this order:
+        the author, the author's accepted followers unless the status is
+        direct, and each account it mentions."""
         store = self.store
+        uris = []
+        if status.visibility is not Visibility.DIRECT:
+            uris = [r.follower_actor_uri for r in store.followers_of(author.id, state="accepted")]
+        uris += [m.actor_uri for m in status.mentions]
+        audience = {author.actor_uri: author}
+        for uri in uris:
+            if uri not in audience and (account := store.get_account_by_uri(uri)) is not None:
+                audience[uri] = account
+        return list(audience.values())
+
+    def local_fan_in(self, status: Status, author: Account) -> list[Effect]:
+        """Insert a stored status into the home timeline of each local account
+        in its audience; a remote author's own is not kept here."""
         assert status.id is not None
-        recipients: dict[int, Account] = {}
-        if include_author and author.id is not None and not author.is_remote:
-            recipients[author.id] = author
-        for mention in status.mentions:
-            account = store.get_account_by_uri(mention.actor_uri)
-            if account is not None and not account.is_remote and account.id is not None:
-                recipients.setdefault(account.id, account)
-        if status.visibility in (Visibility.PUBLIC, Visibility.FOLLOWERS):
-            for relation in store.followers_of(author.id, state="accepted"):
-                follower = store.get_account_by_uri(relation.follower_actor_uri)
-                if follower is not None and not follower.is_remote and follower.id is not None:
-                    recipients.setdefault(follower.id, follower)
         effects = []
-        for owner_id, owner in recipients.items():
-            if store.insert_timeline_entry(owner_id, status.id, self.clock()):
+        for owner in self._audience(status, author):
+            if not owner.is_remote and self.store.insert_timeline_entry(
+                owner.id, status.id, self.clock()
+            ):
                 effects.append(
                     Effect("TimelineInsert", {"owner": owner.acct, "status_id": status.id})
                 )
@@ -322,18 +322,22 @@ class FederationEngine:
     def enqueue(
         self, activity: Activity, signer: Account, inboxes: list[str]
     ) -> list[DeliveryTask]:
-        """One task per inbox; every task shares the one serialized body."""
+        """One task per inbox, each inbox's domain noted as a peer; every task
+        shares the one serialized body."""
         if not inboxes:
             return []
         body = serialize_object(activity)
         key_id = f"{signer.actor_uri}#main-key"
         now = self.clock()
-        return [
+        tasks = [
             self.store.enqueue_task(
                 activity_body=body, target_inbox=inbox, key_id=key_id, now=now
             )
             for inbox in inboxes
         ]
+        for inbox in inboxes:
+            self.note_peer(inbox)
+        return tasks
 
     def create_activity(self, status: Status, author: Account) -> Activity:
         """The Create that publishes a local status; a reply names its parent's URI."""
@@ -354,25 +358,12 @@ class FederationEngine:
         )
 
     def fan_out(self, status: Status, author: Account) -> list[DeliveryTask]:
-        """Delivery tasks for a freshly stored local status."""
-        store = self.store
+        """Delivery tasks for a freshly stored local status: one per inbox of
+        a remote account in its audience."""
         activity = self.create_activity(status, author)
-
-        targets: dict[str, Account] = {}
-        if status.visibility in (Visibility.PUBLIC, Visibility.FOLLOWERS):
-            for relation in store.followers_of(author.id, state="accepted"):
-                follower = store.get_account_by_uri(relation.follower_actor_uri)
-                if follower is not None and follower.is_remote:
-                    targets.setdefault(follower.inbox_uri, follower)
-        for mention in status.mentions:
-            account = store.get_account_by_uri(mention.actor_uri)
-            if account is not None and account.is_remote:
-                targets.setdefault(account.inbox_uri, account)
-
-        tasks = self.enqueue(activity, signer=author, inboxes=list(targets))
-        for account in targets.values():
-            self.note_peer(account.actor_uri, account.inbox_uri)
-        return tasks
+        audience = self._audience(status, author)
+        inboxes = dict.fromkeys(a.inbox_uri for a in audience if a.is_remote)
+        return self.enqueue(activity, signer=author, inboxes=list(inboxes))
 
     def propagate_delete(self, account: Account) -> list[DeliveryTask]:
         """One Delete activity per known peer, signed by the dying account."""
@@ -383,12 +374,7 @@ class FederationEngine:
             object=account.actor_uri,
             to=(PUBLIC_COLLECTION,),
         )
-        scheme = "http" if self.config.test_mode else "https"
-        inboxes = [
-            inbox_hint or f"{scheme}://{domain}/inbox"
-            for domain, inbox_hint in self.store.list_peers()
-            if domain.lower() != self.config.domain.lower()
-        ]
+        inboxes = [inbox for _, inbox in self.store.list_peers()]
         return self.enqueue(activity, signer=account, inboxes=inboxes)
 
     # --- delivery -----------------------------------------------------------

@@ -397,7 +397,7 @@ class HttpApi:
                     in_reply_to_id=in_reply_to_id,
                 )
             )
-            self.node.engine.local_fan_in(stored, author, include_author=True)
+            self.node.engine.local_fan_in(stored, author)
             self.node.engine.fan_out(stored, author)
 
         rendered = self._render_status(stored)
@@ -482,7 +482,6 @@ class HttpApi:
                         to=(target.actor_uri,),
                     )
                     self.node.engine.enqueue(follow, signer=me, inboxes=[target.inbox_uri])
-                    self.node.engine.note_peer(target.actor_uri, target.inbox_uri)
         return _json_response(200, self._relationship(me, target))
 
     def _lookup(self, request: HttpRequest) -> HttpResponse:

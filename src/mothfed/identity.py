@@ -9,7 +9,13 @@ from dataclasses import dataclass
 from typing import Callable, Generic, TypeVar
 from urllib.parse import quote, urlsplit
 
-from .activitypub import ACTIVITY_MEDIA_TYPE, Actor, is_absolute_http_uri, validate_actor_document
+from .activitypub import (
+    ACTIVITY_MEDIA_TYPE,
+    JRD_MEDIA_TYPE,
+    Actor,
+    is_absolute_http_uri,
+    validate_actor_document,
+)
 from .errors import ActorFetchFailed, MalformedHandle, MothError, NoSelfLink, ResolutionFailed
 from .transport import Transport, get_body
 
@@ -149,7 +155,7 @@ def webfinger_url(handle: AcctHandle, test_mode: bool) -> str:
 def fetch_jrd(transport: Transport, handle: AcctHandle, test_mode: bool) -> bytes:
     """The handle's WebFinger body; ResolutionFailed unless a non-empty 200 arrives."""
     url = webfinger_url(handle, test_mode)
-    return get_body(transport, url, "application/jrd+json", ResolutionFailed, f"{handle}: WebFinger")
+    return get_body(transport, url, JRD_MEDIA_TYPE, ResolutionFailed, f"{handle}: WebFinger")
 
 
 def actor_uri_from_jrd(body: bytes, handle: AcctHandle, test_mode: bool) -> str:

@@ -171,7 +171,7 @@ class InstanceNode:
             account = self.store.upsert_account(
                 actor_to_account(actor, self.domain, self.now_dt())
             )
-            self.engine.note_peer(actor.id, actor.inbox)
+            self.engine.note_peer(actor.inbox)
         return account
 
     # --- delivery --------------------------------------------------------------

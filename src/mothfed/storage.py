@@ -113,7 +113,7 @@ class MemoryStore:
         self._status_by_uri: dict[str, int] = {}
         # Ordered indexes, each an ascending id list kept by _put_id/_take_id:
         # tag -> status ids, author -> status ids, home timeline owner ->
-        # status ids, and followee -> follow ids.
+        # status ids, followee -> follow ids, and follower URI -> follow ids.
         self._tag_index: dict[str, list[int]] = {}
         self._statuses_of: dict[int, list[int]] = {}
         self._timelines: dict[int, list[int]] = {}
@@ -121,10 +121,11 @@ class MemoryStore:
         self._follow_by_pair: dict[tuple[str, int], int] = {}
         self._follow_by_activity: dict[str, int] = {}
         self._follows_of: dict[int, list[int]] = {}
+        self._follows_by: dict[str, list[int]] = {}
         self._interactions: dict[int, Interaction] = {}
         self._interaction_by_key: dict[tuple[str, str, str], int] = {}
         self._interaction_by_activity: dict[str, int] = {}
-        self._peers: dict[str, str | None] = {}
+        self._peers: dict[str, str] = {}
         self._seen: set[str] = set()
         self._tombstones: set[str] = set()
         self._keys: dict[str, tuple[str, str]] = {}
@@ -348,10 +349,7 @@ class MemoryStore:
 
     def follows_by_follower(self, follower_actor_uri: str) -> list[FollowRelation]:
         with self._lock:
-            found = [
-                r for r in self._follows.values() if r.follower_actor_uri == follower_actor_uri
-            ]
-            return sorted(found, key=lambda r: r.id)
+            return [self._follows[i] for i in self._follows_by.get(follower_actor_uri, [])]
 
     # --- interactions -------------------------------------------------------------
 
@@ -395,14 +393,14 @@ class MemoryStore:
 
     # --- peers, seen, tombstones ---------------------------------------------------
 
-    def record_peer(self, domain: str, inbox_hint: str | None = None) -> None:
+    def record_peer(self, domain: str, inbox: str) -> None:
         with self._lock:
-            # The first inbox recorded stays the domain's hint.
-            if domain not in self._peers or inbox_hint and self._peers[domain] is None:
-                self._peers[domain] = inbox_hint
-                self._write("peers", domain, (domain, inbox_hint))
+            # The first inbox recorded stays the domain's.
+            if domain not in self._peers:
+                self._peers[domain] = inbox
+                self._write("peers", domain, (domain, inbox))
 
-    def list_peers(self) -> list[tuple[str, str | None]]:
+    def list_peers(self) -> list[tuple[str, str]]:
         with self._lock:
             return sorted(self._peers.items())
 
@@ -484,11 +482,8 @@ class MemoryStore:
                 self._write("timelines", key, None)
             report["timeline_entries"] = len(own) + len(others)
 
-            dead_follows = [
-                r
-                for r in self._follows.values()
-                if r.follower_actor_uri == actor_uri or r.followee_account_id == account_id
-            ]
+            dead_ids = {*self._follows_by.get(actor_uri, ()), *self._follows_of.get(account_id, ())}
+            dead_follows = [self._follows[i] for i in dead_ids]
             for relation in dead_follows:
                 self._unindex_follow(relation)
                 self._write("follows", relation.id, None)
@@ -594,12 +589,14 @@ class MemoryStore:
         if relation.follow_activity_id:
             self._follow_by_activity[relation.follow_activity_id] = relation.id
         _put_id(self._follows_of, relation.followee_account_id, relation.id)
+        _put_id(self._follows_by, relation.follower_actor_uri, relation.id)
 
     def _unindex_follow(self, relation: FollowRelation) -> None:
         del self._follows[relation.id]
         self._follow_by_pair.pop((relation.follower_actor_uri, relation.followee_account_id), None)
         self._follow_by_activity.pop(relation.follow_activity_id, None)
         _take_id(self._follows_of, relation.followee_account_id, relation.id)
+        _take_id(self._follows_by, relation.follower_actor_uri, relation.id)
 
     def _index_interaction(self, item: Interaction) -> None:
         self._interactions[item.id] = item
@@ -796,8 +793,8 @@ class FileStore(MemoryStore):
                     owner_id, status_id, _ = data
                     _put_id(self._timelines, owner_id, status_id)
                 case "peers":
-                    domain, hint = data
-                    self._peers[domain] = hint
+                    domain, inbox = data
+                    self._peers[domain] = inbox
                 case "seen":
                     self._seen.add(data)
                 case "tombstones":

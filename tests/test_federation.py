@@ -32,6 +32,7 @@ from .support import (
     gen_status,
     independent_verify,
     interactions_on,
+    may_view,
 )
 
 LOCAL = "local.test"
@@ -593,7 +594,15 @@ def test_fan_out_matches_the_audience_oracle(world):
             public_key_pem=PUBLIC_PEM, created_at=NOW,
         )
     )
-    candidates = pool + [dave]
+    erin = store.upsert_account(
+        replace(
+            dave, id=None, username="erin", acct="erin",
+            actor_uri=f"http://{LOCAL}/users/erin",
+            inbox_uri=f"http://{LOCAL}/users/erin/inbox",
+        )
+    )
+    locals_ = [alice, dave, erin]
+    candidates = pool + [dave, erin]
     for trial in range(60):
         followers = [a for a in candidates if rng.random() < 0.5]
         mentioned = [a for a in candidates if rng.random() < 0.3]
@@ -612,6 +621,11 @@ def test_fan_out_matches_the_audience_oracle(world):
         got = {t.target_inbox for t in tasks}
         want = expected_remote_inboxes(visibility, followers, mentioned)
         assert got == want, (trial, visibility)
+        # The local half: each local account that may view it gets a timeline row.
+        owners = {e.detail["owner"] for e in engine.local_fan_in(status, alice)}
+        follows = {(a.actor_uri, alice.id) for a in followers}
+        viewers = {a.acct for a in locals_ if may_view(a, status, alice, follows)}
+        assert owners == viewers, (trial, visibility)
 
 
 def test_fan_out_serializes_the_activity_once_for_all_inboxes(world, monkeypatch):
@@ -657,12 +671,13 @@ def test_fan_out_writes_a_peer_row_once_per_new_domain(world, monkeypatch):
 def test_propagate_delete_sends_one_delete_per_peer(world):
     engine, store, _, alice = world
     store.record_peer("b.test", "http://b.test/users/bob/inbox")
-    store.record_peer("c.test", None)
-    store.record_peer(LOCAL, "http://local.test/inbox")  # self is skipped
+    store.record_peer("c.test", "http://c.test/users/carol/inbox")
+    engine.note_peer(f"http://{LOCAL}/users/dave/inbox")  # the local domain is no peer
+    assert [domain for domain, _ in store.list_peers()] == ["b.test", "c.test"]
     tasks = engine.propagate_delete(alice)
-    assert sorted(t.target_inbox for t in tasks) == [
+    assert [t.target_inbox for t in tasks] == [
         "http://b.test/users/bob/inbox",
-        "http://c.test/inbox",  # no hint: conventional shared inbox
+        "http://c.test/users/carol/inbox",
     ]
     body = json.loads(tasks[0].activity_body)
     assert body["type"] == "Delete"

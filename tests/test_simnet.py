@@ -269,11 +269,14 @@ class TestDeterminism:
     def test_identical_seeds_produce_identical_logs(self):
         assert scripted_run(7) == scripted_run(7)
 
-    def test_scenario_replay_is_byte_identical(self):
+    @pytest.mark.parametrize(
+        "path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda path: path.stem
+    )
+    def test_scenario_replay_is_byte_identical(self, path):
         logs = []
         for _ in range(2):
             net = VirtualNet(seed=21)
-            ScenarioRunner(net).run_file(SCENARIO_DIR / "fault_silent200.json")
+            ScenarioRunner(net).run_file(path)
             logs.append(net.log_json())
         assert logs[0] == logs[1]
 

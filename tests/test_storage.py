@@ -576,9 +576,11 @@ def cheapest(call, repeats=50):
 
 
 def test_reads_cost_about_the_same_at_a_hundred_times_the_entries():
+    FAN = "https://b.test/users/fan"
     """A 20-status home page and one author's 20 statuses, at 10^3 and 10^5
-    statuses in the store and in the owner's home timeline; and the three queue
-    queries with no terminal task held and with MAX_TERMINAL_TASKS of them."""
+    statuses in the store and in the owner's home timeline; one follower's 20
+    follows, at 10^3 and 10^5 follows; and the three queue queries with no
+    terminal task held and with MAX_TERMINAL_TASKS of them."""
 
     def world(size, terminal):
         store = MemoryStore()
@@ -590,12 +592,17 @@ def test_reads_cost_about_the_same_at_a_hundred_times_the_entries():
             by = author if status_id % (size // 20) == 0 else owner
             store.store_status(replace(template, id=status_id, account_id=by.id))
             store.insert_timeline_entry(owner.id, status_id, 0.0)
+        for n in range(size):
+            # The fan's 20 follows are spread through everyone else's.
+            follower = FAN if n % (size // 20) == 0 else f"https://b.test/users/u{n}"
+            store.upsert_follow(follower, n, "accepted", f"https://x/follow/{n}", 0.0)
         for n in range(4 + terminal):
             task = store.enqueue_task("{}", "https://b.test/inbox", "k#main-key", float(n))
             if n >= 4:
                 store.save_task(replace(task, terminal=True, result="delivered: 202"))
         assert store.pending_count() == 4 and len(store.all_tasks()) == 4 + terminal
         assert len(store.statuses_by_account(author.id)) == 20
+        assert len(store.follows_by_follower(FAN)) == 20
         return store, owner, author
 
     def reads(world):
@@ -603,6 +610,7 @@ def test_reads_cost_about_the_same_at_a_hundred_times_the_entries():
         return {
             "home page": lambda: store.query_home_timeline(owner.id, 20),
             "author's statuses": lambda: store.statuses_by_account(author.id),
+            "follower's follows": lambda: store.follows_by_follower(FAN),
             "queue queries": lambda: (
                 store.due_tasks(2.0), store.pending_count(), store.next_pending_time()
             ),
@@ -753,6 +761,7 @@ def test_reopen_rebuilds_every_index_the_live_writes_kept(tmp_path):
             ],
             [store.statuses_by_account(a.id) for a in (alice, bob, carol)],
             [store.query_home_timeline(a.id) for a in (alice, bob)],
+            [store.follows_by_follower(a.actor_uri) for a in (alice, bob, carol)],
             # Last, as it removes what it finds.
             [
                 store.remove_interaction_by_activity(f"https://x/{name}")
@@ -763,7 +772,7 @@ def test_reopen_rebuilds_every_index_the_live_writes_kept(tmp_path):
     expected = answers(live)
     assert answers(reopened) == expected
     follows, by_activity, statuses, tags, locals_, tokens, followers = expected[:7]
-    authored, homes, interactions = expected[7:]
+    authored, homes, followed, interactions = expected[7:]
     assert follows[2] is not None and follows[2].follow_activity_id == "https://x/f1-again"
     assert [f is not None for f in by_activity] == [False, True, True, False]
     assert statuses == [s1, s2, s3, None]
@@ -775,6 +784,9 @@ def test_reopen_rebuilds_every_index_the_live_writes_kept(tmp_path):
     ]
     assert authored == [[s2, s1], [s3], []]
     assert homes == [[s3, s2, s1], []]  # bob's follow of alice went back to pending
+    assert [[r.follow_activity_id for r in found] for found in followed] == [
+        ["https://x/f2"], ["https://x/f1-again"], []
+    ]
     assert [i is not None for i in interactions] == [False, True, False, False]
     live.close()
     reopened.close()
@@ -850,19 +862,12 @@ def test_unchanged_account_and_peer_are_not_written_again():
     writes.clear()
     assert store.upsert_account(account("alice")) == alice
     store.record_peer("b.test", "https://b.test/inbox")
-    store.record_peer("b.test")
     assert writes == []
-    # The first inbox recorded stays the hint: a different one is not written.
+    # The first inbox recorded stays the domain's: a different one is not written.
     store.record_peer("b.test", "https://b.test/shared-inbox")
     store.upsert_account(account("alice", display_name="Alice"))
     assert writes == ["accounts"]
     assert store.list_peers() == [("b.test", "https://b.test/inbox")]
-    # A domain recorded without a hint takes the first one that arrives.
-    store.record_peer("c.test")
-    store.record_peer("c.test", "https://c.test/users/carol/inbox")
-    store.record_peer("c.test", "https://c.test/users/dave/inbox")
-    assert writes == ["accounts", "peers", "peers"]
-    assert store.list_peers()[1] == ("c.test", "https://c.test/users/carol/inbox")
 
 
 def test_file_store_concurrent_commits_all_reach_disk(tmp_path):

@@ -9,6 +9,7 @@ import signal
 import sys
 import threading
 from dataclasses import dataclass, replace
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .config import Config, load_config
@@ -82,7 +83,7 @@ def _load(args: argparse.Namespace) -> Config:
 # --- serve -----------------------------------------------------------------
 
 
-def _refuse_body(status: int, reason: str, detail: str) -> HttpResponse:
+def _refuse_body(status: int, reason: str, detail: str | None) -> HttpResponse:
     response = _error(status, reason, detail)
     # The body stays unread, so the connection cannot carry another request.
     response.headers["Connection"] = "close"
@@ -97,7 +98,20 @@ def _handler_for(node: InstanceNode) -> type[BaseHTTPRequestHandler]:
             pass
 
         def _read_and_handle(self) -> HttpResponse:
-            text = (self.headers.get("Content-Length") or "0").strip()
+            # RFC 9112 section 6.3: a body must be framed by exactly one length.
+            if "Transfer-Encoding" in self.headers:
+                coding = self.headers["Transfer-Encoding"]
+                return _refuse_body(411, "LengthRequired", f"Transfer-Encoding {coding!r}")
+            lengths = {
+                value.strip()
+                for header in self.headers.get_all("Content-Length", ())
+                for value in header.split(",")
+            }
+            if len(lengths) > 1:
+                return _refuse_body(
+                    400, "BadContentLength", f"Content-Length values differ: {sorted(lengths)}"
+                )
+            text = lengths.pop() if lengths else "0"
             if not (text.isascii() and text.isdigit()):
                 return _refuse_body(400, "BadContentLength", f"Content-Length {text!r}")
             length = int(text)
@@ -116,18 +130,34 @@ def _handler_for(node: InstanceNode) -> type[BaseHTTPRequestHandler]:
 
         def _dispatch(self) -> None:
             response = self._read_and_handle()
-            if response.status in (401, 400, 403, 413) and response.body:
+            if response.status in (400, 401, 403, 411, 413) and response.body:
                 # The one place rejections would otherwise be invisible.
                 sys.stderr.write(
                     f"rejected {self.command} {self.path}: "
                     f"{response.body.decode('utf-8', 'replace')}\n"
                 )
+            self._send(response)
+
+        def _send(self, response: HttpResponse) -> None:
             self.send_response(response.status)
             for name, value in response.headers.items():
                 self.send_header(name, value)
             self.send_header("Content-Length", str(len(response.body)))
             self.end_headers()
-            self.wfile.write(response.body)
+            if self.command != "HEAD":
+                self.wfile.write(response.body)
+
+        def send_error(
+            self, code: int, message: str | None = None, explain: str | None = None
+        ) -> None:
+            """http.server's own refusals (a bad request line, 414, 431, 501)
+            in the API's JSON error shape instead of its HTML page."""
+            if self.request_version == "HTTP/0.9":
+                # A request line without a valid version leaves http.server at
+                # HTTP/0.9, which writes no status line or headers.
+                self.request_version = self.protocol_version
+            reason = "".join(ch for ch in HTTPStatus(code).phrase if ch.isalnum())
+            self._send(_refuse_body(code, reason, message))
 
         def do_GET(self) -> None:
             self._dispatch()

@@ -3,14 +3,14 @@
 The engine never talks to the network directly; it enqueues DeliveryTasks
 and process_queue drains them through whatever transport it is handed. All
 inbound handling is idempotent by activity id, and every rejected or ignored
-activity produces a Warning effect rather than vanishing.
+activity returns a warning rather than vanishing.
 """
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from .activitypub import (
     ACTIVITY_MEDIA_TYPE,
@@ -69,21 +69,11 @@ class Interaction:
 
 
 @dataclass(frozen=True)
-class Effect:
-    kind: str
-    detail: dict[str, Any]
-
-
-@dataclass(frozen=True)
 class QueueReport:
     attempted: int
     delivered: int
     retried: int
     failed: int
-
-
-def _warning(message: str) -> Effect:
-    return Effect("Warning", {"message": message})
 
 
 def _object_uri(obj: str | Note | Actor | None) -> str | None:
@@ -118,7 +108,7 @@ class FederationEngine:
 
     # --- inbound ------------------------------------------------------------
 
-    def handle_inbox(self, activity: Activity, verified_actor: Actor) -> list[Effect]:
+    def handle_inbox(self, activity: Activity, verified_actor: Actor) -> list[str]:
         if activity.actor != verified_actor.id:
             raise ActorMismatch(
                 f"activity actor {activity.actor} != signer {verified_actor.id}"
@@ -129,7 +119,7 @@ class FederationEngine:
         with self.store.transaction():
             return self._dispatch(activity, verified_actor)
 
-    def _dispatch(self, activity: Activity, actor: Actor) -> list[Effect]:
+    def _dispatch(self, activity: Activity, actor: Actor) -> list[str]:
         store = self.store
         if activity.id is not None and not store.record_seen(activity.id):
             return []
@@ -155,15 +145,15 @@ class FederationEngine:
             return self._handle_interaction(activity, actor)
         if activity.kind is ActivityKind.UNDO:
             return self._handle_undo(activity, actor)
-        return [_warning(f"activity kind {activity.kind.value} not handled")]
+        return [f"activity kind {activity.kind.value} not handled"]
 
-    def _handle_create(self, activity: Activity, sender: Account) -> list[Effect]:
+    def _handle_create(self, activity: Activity, sender: Account) -> list[str]:
         store = self.store
         note = activity.object
         if not isinstance(note, Note):
-            return [_warning("Create without an embedded Note ignored")]
+            return ["Create without an embedded Note ignored"]
         if note.attributed_to != sender.actor_uri:
-            return [_warning("Create for a Note attributed to someone else ignored")]
+            return ["Create for a Note attributed to someone else ignored"]
         parent = store.get_status_by_uri(note.in_reply_to) if note.in_reply_to else None
         status, warnings = note_to_status(
             note,
@@ -175,13 +165,9 @@ class FederationEngine:
         try:
             stored = store.store_status(status)
         except DuplicateUri:
-            return [_warning(f"status {status.uri} already stored")]
-        effects: list[Effect] = [
-            Effect("StoreStatus", {"status_id": stored.id, "uri": stored.uri})
-        ]
-        effects.extend(_warning(w) for w in warnings)
-        effects.extend(self.local_fan_in(stored, sender))
-        return effects
+            return [f"status {status.uri} already stored"]
+        self.local_fan_in(stored, sender)
+        return warnings
 
     def _audience(self, status: Status, author: Account) -> list[Account]:
         """The known accounts a status reaches, once each and in this order:
@@ -198,30 +184,24 @@ class FederationEngine:
                 audience[uri] = account
         return list(audience.values())
 
-    def local_fan_in(self, status: Status, author: Account) -> list[Effect]:
+    def local_fan_in(self, status: Status, author: Account) -> None:
         """Insert a stored status into the home timeline of each local account
         in its audience; a remote author's own is not kept here."""
         assert status.id is not None
-        effects = []
         for owner in self._audience(status, author):
-            if not owner.is_remote and self.store.insert_timeline_entry(
-                owner.id, status.id, self.clock()
-            ):
-                effects.append(
-                    Effect("TimelineInsert", {"owner": owner.acct, "status_id": status.id})
-                )
-        return effects
+            if not owner.is_remote:
+                self.store.insert_timeline_entry(owner.id, status.id, self.clock())
 
-    def _handle_follow(self, activity: Activity, actor: Actor) -> list[Effect]:
+    def _handle_follow(self, activity: Activity, actor: Actor) -> list[str]:
         store = self.store
         if activity.id is None:
-            return [_warning("Follow without an id cannot be acknowledged")]
+            return ["Follow without an id cannot be acknowledged"]
         target_uri = _object_uri(activity.object)
         if target_uri is None:
-            return [_warning("Follow without an object ignored")]
+            return ["Follow without an object ignored"]
         target = store.get_account_by_uri(target_uri)
         if target is None or target.is_remote or target.id is None:
-            return [_warning(f"Follow target {target_uri} is not a local account")]
+            return [f"Follow target {target_uri} is not a local account"]
 
         relation = store.upsert_follow(
             follower_actor_uri=actor.id,
@@ -230,9 +210,6 @@ class FederationEngine:
             follow_activity_id=activity.id,
             created_at=self.clock(),
         )
-        effects = [
-            Effect("UpsertFollow", {"follow_id": relation.id, "state": "pending"})
-        ]
 
         accept = Activity(
             id=f"{target.actor_uri}#accepts/follows/{relation.id}",
@@ -241,33 +218,29 @@ class FederationEngine:
             object=activity.id,
             to=(actor.id,),
         )
-        (task,) = self.enqueue(accept, signer=target, inboxes=[actor.inbox])
-        effects.append(
-            Effect("EnqueueDelivery", {"task_id": task.task_id, "inbox": actor.inbox})
-        )
+        self.enqueue(accept, signer=target, inboxes=[actor.inbox])
         store.set_follow_state(relation.id, "accepted")
-        effects.append(Effect("AcceptFollow", {"follow_id": relation.id}))
-        return effects
+        return []
 
-    def _handle_accept(self, activity: Activity, actor: Actor) -> list[Effect]:
+    def _handle_accept(self, activity: Activity, actor: Actor) -> list[str]:
         store = self.store
         follow_id = _object_uri(activity.object)
         if follow_id is None:
-            return [_warning("Accept without an object ignored")]
+            return ["Accept without an object ignored"]
         relation = store.find_follow_by_activity(follow_id)
         if relation is None:
-            return [_warning(f"Accept references unknown object {follow_id}")]
+            return [f"Accept references unknown object {follow_id}"]
         followee = store.get_account(relation.followee_account_id)
         if followee is None or followee.actor_uri != actor.id:
-            return [_warning("Accept from an actor who is not the followee ignored")]
+            return ["Accept from an actor who is not the followee ignored"]
         store.set_follow_state(relation.id, "accepted")
-        return [Effect("AcceptFollow", {"follow_id": relation.id})]
+        return []
 
-    def _handle_interaction(self, activity: Activity, actor: Actor) -> list[Effect]:
+    def _handle_interaction(self, activity: Activity, actor: Actor) -> list[str]:
         store = self.store
         object_uri = _object_uri(activity.object)
         if object_uri is None:
-            return [_warning(f"{activity.kind.value} without an object ignored")]
+            return [f"{activity.kind.value} without an object ignored"]
         recorded = store.record_interaction(
             kind=activity.kind.value,
             actor_uri=actor.id,
@@ -276,46 +249,36 @@ class FederationEngine:
             created_at=self.clock(),
         )
         if not recorded:
-            return [_warning(f"{activity.kind.value} already recorded for {object_uri}")]
-        return [
-            Effect(
-                "RecordInteraction",
-                {"kind": activity.kind.value, "object": object_uri, "actor": actor.id},
-            )
-        ]
+            return [f"{activity.kind.value} already recorded for {object_uri}"]
+        return []
 
-    def _handle_delete(self, activity: Activity, actor: Actor) -> list[Effect]:
+    def _handle_delete(self, activity: Activity, actor: Actor) -> list[str]:
         object_uri = _object_uri(activity.object)
         if object_uri != actor.id:
             # Only self-deletion is honored; deleting someone else's data on
             # another server's say-so would be an attack vector.
-            return [_warning(f"Delete for {object_uri} from {actor.id} ignored")]
-        report = self.store.delete_account_data(actor.id)
-        return [Effect("DeleteAccount", {"actor": actor.id, **report})]
+            return [f"Delete for {object_uri} from {actor.id} ignored"]
+        self.store.delete_account_data(actor.id)
+        return []
 
-    def _handle_undo(self, activity: Activity, actor: Actor) -> list[Effect]:
+    def _handle_undo(self, activity: Activity, actor: Actor) -> list[str]:
         store = self.store
         undone_id = _object_uri(activity.object)
         if undone_id is None:
-            return [_warning("Undo without an object ignored")]
+            return ["Undo without an object ignored"]
         interaction = store.find_interaction_by_activity(undone_id)
         if interaction is not None:
             if interaction.actor_uri != actor.id:
-                return [_warning("Undo from a different actor ignored")]
+                return ["Undo from a different actor ignored"]
             store.remove_interaction_by_activity(undone_id)
-            return [
-                Effect(
-                    "RemoveInteraction",
-                    {"kind": interaction.kind, "object": interaction.object_uri},
-                )
-            ]
+            return []
         relation = store.find_follow_by_activity(undone_id)
         if relation is not None:
             if relation.follower_actor_uri != actor.id:
-                return [_warning("Undo from a different actor ignored")]
+                return ["Undo from a different actor ignored"]
             store.remove_follow(relation.id)
-            return [Effect("RemoveFollow", {"follow_id": relation.id})]
-        return [_warning(f"Undo references unknown object {undone_id}")]
+            return []
+        return [f"Undo references unknown object {undone_id}"]
 
     # --- outbound -----------------------------------------------------------
 

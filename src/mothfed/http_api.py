@@ -255,18 +255,15 @@ class HttpApi:
             )
 
         try:
-            effects = self.node.engine.handle_inbox(activity, verified)
+            warnings = self.node.engine.handle_inbox(activity, verified)
         except ActorMismatch as exc:
             raise _Refused(401, exc.reason, str(exc)) from exc
         except TombstonedActor as exc:
             raise _Refused(403, exc.reason, str(exc)) from exc
-
-        warnings = []
-        for effect in effects:
-            if effect.kind == "Warning":
-                warnings.append(effect.detail.get("message", ""))
-            elif effect.kind == "DeleteAccount":
-                self.node.forget_actor(effect.detail["actor"])
+        # A signer tombstoned before this request was refused above, so one
+        # tombstoned now has just deleted itself: drop its cached document.
+        if activity.kind is ActivityKind.DELETE and self.node.store.is_tombstoned(verified.id):
+            self.node.forget_actor(verified.id)
         return _json_response(202, {"queued": True, "warnings": warnings})
 
     def _verify(self, request: HttpRequest) -> Actor:

@@ -368,13 +368,9 @@ class MemoryStore:
                 activity_id=activity_id,
                 created_at=created_at,
             )
-            self.restore_interaction(item)
-            return True
-
-    def restore_interaction(self, item: Interaction) -> None:
-        with self._lock:
             self._index_interaction(item)
             self._write("interactions", item.id, item)
+            return True
 
     def find_interaction_by_activity(self, activity_id: str) -> Interaction | None:
         with self._lock:

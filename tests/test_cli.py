@@ -5,14 +5,16 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
+from http.server import ThreadingHTTPServer
 from urllib.parse import quote
 
 import pytest
 
-from mothfed.cli import cmd_keygen, cmd_probe, cmd_serve, main, run_probe
+from mothfed.cli import _handler_for, cmd_keygen, cmd_probe, cmd_serve, main, run_probe
 from mothfed.config import Config, load_config
 from mothfed.errors import BindFailed, ConfigError
 from mothfed.instance import InstanceNode
@@ -408,22 +410,121 @@ def _wait_for(
             time.sleep(0.1)
 
 
-def _raw_status_line(port: int, content_length: str) -> str:
-    """POST with the given Content-Length and no body; the status line of the reply.
+def _raw_reply(port: int, request: bytes) -> bytes:
+    """Send raw request bytes; the whole reply.
 
     Reads until the server closes the connection, so a server that keeps it
-    open after refusing the body fails the test by timing out.
+    open after a refusal fails the test by timing out.
     """
-    request = (
-        "POST /users/alice/inbox HTTP/1.1\r\nHost: serve.test\r\n"
-        f"Content-Length: {content_length}\r\n\r\n"
-    ).encode("ascii")
     with socket.create_connection(("127.0.0.1", port), timeout=5) as conn:
         conn.sendall(request)
         reply = b""
         while chunk := conn.recv(4096):
             reply += chunk
-    return reply.split(b"\r\n", 1)[0].decode("ascii")
+    return reply
+
+
+def _raw_status_line(port: int, content_length: str) -> str:
+    """POST with the given Content-Length and no body; the status line of the reply."""
+    request = (
+        "POST /users/alice/inbox HTTP/1.1\r\nHost: serve.test\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
+    ).encode("ascii")
+    return _raw_reply(port, request).split(b"\r\n", 1)[0].decode("ascii")
+
+
+@pytest.fixture()
+def served_port():
+    """A serve handler over a memory store, in this process, on a free port."""
+    node = InstanceNode(Config(domain="serve.test", test_mode=True, key_bits=1024))
+    node.create_user("alice")
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _handler_for(node))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        node.close()
+
+
+def _refusal(reply: bytes) -> tuple[str, str, dict]:
+    """The status line, Connection header and JSON body of a refusal."""
+    head, body = reply.split(b"\r\n\r\n", 1)
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    assert headers["Content-Type"] == "application/json"
+    return status_line, headers.get("Connection", ""), json.loads(body)
+
+
+class TestFraming:
+    """Only bodies framed by one Content-Length are read (RFC 9112 section 6.3)."""
+
+    def test_a_chunked_body_is_refused_with_411(self, served_port):
+        chunk = b'{"type": "Like"}'
+        request = (
+            b"POST /users/alice/inbox HTTP/1.1\r\nHost: serve.test\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + f"{len(chunk):x}\r\n".encode() + chunk + b"\r\n0\r\n\r\n"
+        )
+        status, connection, body = _refusal(_raw_reply(served_port, request))
+        assert status == "HTTP/1.1 411 Length Required"
+        assert connection == "close"
+        assert body["error"] == "LengthRequired"
+
+    @pytest.mark.parametrize(
+        "lengths", [["3", "4"], ["3, 4"]], ids=["two headers", "one list"]
+    )
+    def test_content_lengths_that_differ_are_refused_with_400(self, served_port, lengths):
+        request = b"POST /users/alice/inbox HTTP/1.1\r\nHost: serve.test\r\n"
+        request += b"".join(f"Content-Length: {n}\r\n".encode() for n in lengths)
+        status, connection, body = _refusal(_raw_reply(served_port, request + b"\r\nabcd"))
+        assert status == "HTTP/1.1 400 Bad Request"
+        assert connection == "close"
+        assert body["error"] == "BadContentLength"
+
+    def test_repeated_equal_content_lengths_frame_one_body(self, served_port):
+        request = (
+            b"POST /users/alice/inbox HTTP/1.1\r\nHost: serve.test\r\n"
+            b"Content-Length: 2\r\nContent-Length: 2\r\nConnection: close\r\n\r\n{}"
+        )
+        status, _, body = _refusal(_raw_reply(served_port, request))
+        # The body was read and reached the inbox, which wants a signature.
+        assert status == "HTTP/1.1 401 Unauthorized"
+        assert body["error"] == "NoSignature"
+
+
+class TestServerRefusals:
+    """http.server's own refusals answer in the API's JSON error shape."""
+
+    @pytest.mark.parametrize(
+        "line, detail",
+        [(b"GET /a b HTTP/1.1", "Bad request syntax"), (b"GET / FOO/1.1", "Bad request version")],
+        ids=["four words", "no version"],
+    )
+    def test_a_malformed_request_line_is_a_json_400(self, served_port, line, detail):
+        reply = _raw_reply(served_port, line + b"\r\nHost: serve.test\r\n\r\n")
+        status, connection, body = _refusal(reply)
+        assert status == "HTTP/1.1 400 Bad Request"
+        assert connection == "close"
+        assert body["error"] == "BadRequest"
+        assert body["detail"].startswith(detail)
+
+    def test_an_unsupported_method_is_a_json_501(self, served_port):
+        request = b"PUT /users/alice HTTP/1.1\r\nHost: serve.test\r\nContent-Length: 0\r\n\r\n"
+        status, connection, body = _refusal(_raw_reply(served_port, request))
+        assert status == "HTTP/1.1 501 Not Implemented"
+        assert connection == "close"
+        assert body == {"error": "NotImplemented", "detail": "Unsupported method ('PUT')"}
+
+    def test_a_refused_head_request_gets_no_body(self, served_port):
+        request = b"HEAD /users/alice HTTP/1.1\r\nHost: serve.test\r\n\r\n"
+        head, body = _raw_reply(served_port, request).split(b"\r\n\r\n", 1)
+        assert head.startswith(b"HTTP/1.1 501 ")
+        assert b"\r\nContent-Length: " in head
+        assert body == b""
 
 
 class TestServe:

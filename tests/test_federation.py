@@ -124,10 +124,6 @@ def create_activity(actor, note, activity_id=None):
     )
 
 
-def kinds(effects):
-    return [e.kind for e in effects]
-
-
 # --- dispatch basics -----------------------------------------------------------
 
 
@@ -141,12 +137,11 @@ def test_actor_mismatch_is_rejected_before_anything_else(world):
     assert store.get_account_by_uri(bob.id) is None  # nothing was written
 
 
-def test_replayed_activity_ids_produce_no_effects(world):
+def test_a_replayed_activity_id_is_not_applied_again(world):
     engine, store, _, _ = world
     bob = remote_actor()
     activity = create_activity(bob, note_from(bob))
-    first = engine.handle_inbox(activity, bob)
-    assert "StoreStatus" in kinds(first)
+    assert engine.handle_inbox(activity, bob) == []
     assert engine.handle_inbox(activity, bob) == []
     assert len(store.statuses_by_account(store.get_account_by_uri(bob.id).id)) == 1
 
@@ -177,12 +172,12 @@ def test_create_stores_status_and_fans_in_locally(world):
     bob_account = remote_account(store)
     store.upsert_follow(alice.actor_uri, bob_account.id, "accepted", "http://x/f1", 0.0)
     note = note_from(bob, to=(PUBLIC_COLLECTION,))
-    effects = engine.handle_inbox(create_activity(bob, note), bob)
-    assert "StoreStatus" in kinds(effects)
-    inserts = [e for e in effects if e.kind == "TimelineInsert"]
-    assert [e.detail["owner"] for e in inserts] == ["alice"]
+    assert engine.handle_inbox(create_activity(bob, note), bob) == []
+    assert store.get_status_by_uri(note.id) is not None
     timeline = store.query_home_timeline(alice.id)
     assert [s.uri for s in timeline] == [note.id]
+    # A remote author's own home timeline is not kept here.
+    assert store.query_home_timeline(bob_account.id) == []
 
 
 def test_create_for_mentioned_local_is_visible_regardless_of_follow(world):
@@ -198,13 +193,12 @@ def test_create_for_mentioned_local_is_visible_regardless_of_follow(world):
         ),
         published=NOW,
     )
-    effects = engine.handle_inbox(create_activity(bob, note), bob)
-    assert "TimelineInsert" in kinds(effects)
+    assert engine.handle_inbox(create_activity(bob, note), bob) == []
     assert [s.uri for s in store.query_home_timeline(alice.id)] == [note.id]
 
 
 def test_create_without_embedded_note_warns(world):
-    engine, _, _, _ = world
+    engine, store, _, _ = world
     bob = remote_actor()
     activity = Activity(
         id="http://b.test/act/1",
@@ -212,8 +206,8 @@ def test_create_without_embedded_note_warns(world):
         actor=bob.id,
         object="http://b.test/statuses/1",  # URI only, nothing to store
     )
-    effects = engine.handle_inbox(activity, bob)
-    assert kinds(effects) == ["Warning"]
+    assert engine.handle_inbox(activity, bob) == ["Create without an embedded Note ignored"]
+    assert store.get_status_by_uri("http://b.test/statuses/1") is None
 
 
 def test_create_attributed_to_someone_else_warns(world):
@@ -221,21 +215,19 @@ def test_create_attributed_to_someone_else_warns(world):
     bob = remote_actor()
     carol = remote_actor("carol", "c.test")
     stolen = note_from(carol)
-    effects = engine.handle_inbox(create_activity(bob, stolen, "http://b.test/act/2"), bob)
-    assert kinds(effects) == ["Warning"]
+    warnings = engine.handle_inbox(create_activity(bob, stolen, "http://b.test/act/2"), bob)
+    assert warnings == ["Create for a Note attributed to someone else ignored"]
     assert store.get_status_by_uri(stolen.id) is None
 
 
 def test_create_duplicate_uri_warns_instead_of_crashing(world):
-    engine, _, _, _ = world
+    engine, store, _, _ = world
     bob = remote_actor()
     note = note_from(bob)
     engine.handle_inbox(create_activity(bob, note, "http://b.test/act/a"), bob)
-    effects = engine.handle_inbox(create_activity(bob, note, "http://b.test/act/b"), bob)
-    assert any(
-        e.kind == "Warning" and "already stored" in e.detail["message"]
-        for e in effects
-    )
+    warnings = engine.handle_inbox(create_activity(bob, note, "http://b.test/act/b"), bob)
+    assert warnings == [f"status {note.id} already stored"]
+    assert len(store.statuses_by_account(store.get_account_by_uri(bob.id).id)) == 1
 
 
 # --- Follow / Accept ----------------------------------------------------------------
@@ -253,8 +245,7 @@ def follow_activity(follower, target_uri, activity_id="http://b.test/follows/1")
 def test_follow_is_accepted_and_acknowledged(world):
     engine, store, _, alice = world
     bob = remote_actor()
-    effects = engine.handle_inbox(follow_activity(bob, alice.actor_uri), bob)
-    assert kinds(effects) == ["UpsertFollow", "EnqueueDelivery", "AcceptFollow"]
+    assert engine.handle_inbox(follow_activity(bob, alice.actor_uri), bob) == []
     relation = store.get_follow(bob.id, alice.id)
     assert relation.state == "accepted"
     assert relation.follow_activity_id == "http://b.test/follows/1"
@@ -266,16 +257,16 @@ def test_follow_is_accepted_and_acknowledged(world):
     assert body["type"] == "Accept"
     assert body["actor"] == alice.actor_uri
     assert body["object"] == "http://b.test/follows/1"
-    assert body["id"].startswith(f"{alice.actor_uri}#accepts/follows/")
+    assert body["id"] == f"{alice.actor_uri}#accepts/follows/{relation.id}"
 
 
 def test_follow_without_id_cannot_be_acknowledged(world):
     engine, store, _, alice = world
     bob = remote_actor()
     activity = Activity(id=None, kind=ActivityKind.FOLLOW, actor=bob.id, object=alice.actor_uri)
-    effects = engine.handle_inbox(activity, bob)
-    assert kinds(effects) == ["Warning"]
+    assert engine.handle_inbox(activity, bob) == ["Follow without an id cannot be acknowledged"]
     assert store.get_follow(bob.id, alice.id) is None
+    assert store.all_tasks() == []
 
 
 def test_follow_of_unknown_or_remote_target_warns(world):
@@ -283,10 +274,11 @@ def test_follow_of_unknown_or_remote_target_warns(world):
     bob = remote_actor()
     carol = remote_account(store, "carol", "c.test")
     for target in ("http://local.test/users/ghost", carol.actor_uri):
-        effects = engine.handle_inbox(
+        warnings = engine.handle_inbox(
             follow_activity(bob, target, f"http://b.test/follows/{target[-5:]}"), bob
         )
-        assert kinds(effects) == ["Warning"]
+        assert warnings == [f"Follow target {target} is not a local account"]
+    assert store.get_follow(bob.id, carol.id) is None
     assert store.all_tasks() == []
 
 
@@ -303,10 +295,9 @@ def test_accept_marks_our_outbound_follow_accepted(world):
         actor=bob.id,
         object="http://local.test/follows/9",
     )
-    effects = engine.handle_inbox(accept, bob)
-    assert kinds(effects) == ["AcceptFollow"]
-    assert store.get_follow(alice.actor_uri, bob_account.id).state == "accepted"
-    assert effects[0].detail["follow_id"] == rel.id
+    assert engine.handle_inbox(accept, bob) == []
+    accepted = store.get_follow(alice.actor_uri, bob_account.id)
+    assert (accepted.id, accepted.state) == (rel.id, "accepted")
 
 
 def test_accept_from_the_wrong_actor_is_ignored(world):
@@ -322,8 +313,8 @@ def test_accept_from_the_wrong_actor_is_ignored(world):
         actor=mallory.id,
         object="http://local.test/follows/9",
     )
-    effects = engine.handle_inbox(accept, mallory)
-    assert kinds(effects) == ["Warning"]
+    warnings = engine.handle_inbox(accept, mallory)
+    assert warnings == ["Accept from an actor who is not the followee ignored"]
     assert store.get_follow(alice.actor_uri, bob_account.id).state == "pending"
 
 
@@ -336,7 +327,9 @@ def test_accept_for_unknown_follow_warns(world):
         actor=bob.id,
         object="http://local.test/follows/nope",
     )
-    assert kinds(engine.handle_inbox(accept, bob)) == ["Warning"]
+    assert engine.handle_inbox(accept, bob) == [
+        "Accept references unknown object http://local.test/follows/nope"
+    ]
 
 
 # --- Like / Announce / Undo ------------------------------------------------------------
@@ -352,10 +345,12 @@ def test_like_records_an_interaction_once(world):
     engine, store, _, alice = world
     bob = remote_actor()
     target = f"{alice.actor_uri}/statuses/1"
-    effects = engine.handle_inbox(like_activity(bob, target), bob)
-    assert kinds(effects) == ["RecordInteraction"]
+    assert engine.handle_inbox(like_activity(bob, target), bob) == []
+    assert [(i["kind"], i["actor_uri"]) for i in interactions_on(store, target)] == [
+        ("Like", bob.id)
+    ]
     again = engine.handle_inbox(like_activity(bob, target, "http://b.test/act/like2"), bob)
-    assert kinds(again) == ["Warning"]
+    assert again == [f"Like already recorded for {target}"]
     assert len(interactions_on(store, target)) == 1
 
 
@@ -370,8 +365,7 @@ def test_undo_like_by_its_author_removes_it(world):
         actor=bob.id,
         object="http://b.test/act/like1",
     )
-    effects = engine.handle_inbox(undo, bob)
-    assert kinds(effects) == ["RemoveInteraction"]
+    assert engine.handle_inbox(undo, bob) == []
     assert interactions_on(store, target) == []
 
 
@@ -387,8 +381,7 @@ def test_undo_by_someone_else_restores_the_interaction(world):
         actor=mallory.id,
         object="http://b.test/act/like1",
     )
-    effects = engine.handle_inbox(undo, mallory)
-    assert kinds(effects) == ["Warning"]
+    assert engine.handle_inbox(undo, mallory) == ["Undo from a different actor ignored"]
     assert len(interactions_on(store, target)) == 1
 
 
@@ -406,15 +399,15 @@ def test_a_refused_undo_writes_nothing(tmp_path):
         object="http://b.test/act/like1",
     )
     # Stores mallory's account and peer rows, and the seen id.
-    assert kinds(engine.handle_inbox(undo, mallory)) == ["Warning"]
+    assert engine.handle_inbox(undo, mallory) == ["Undo from a different actor ignored"]
     statements = []
     store._db.set_trace_callback(statements.append)
     try:
         # Without an id nothing is recorded seen, so only the Undo could write.
-        effects = engine.handle_inbox(replace(undo, id=None), mallory)
+        warnings = engine.handle_inbox(replace(undo, id=None), mallory)
     finally:
         store._db.set_trace_callback(None)
-    assert kinds(effects) == ["Warning"]
+    assert warnings == ["Undo from a different actor ignored"]
     assert statements == []
     assert len(interactions_on(store, target)) == 1
     store.close()
@@ -430,8 +423,8 @@ def test_undo_follow_removes_the_relation(world):
         actor=bob.id,
         object="http://b.test/follows/1",
     )
-    effects = engine.handle_inbox(undo, bob)
-    assert kinds(effects) == ["RemoveFollow"]
+    assert store.get_follow(bob.id, alice.id) is not None
+    assert engine.handle_inbox(undo, bob) == []
     assert store.get_follow(bob.id, alice.id) is None
 
 
@@ -444,7 +437,9 @@ def test_undo_of_unknown_object_warns(world):
         actor=bob.id,
         object="http://b.test/act/never-seen",
     )
-    assert kinds(engine.handle_inbox(undo, bob)) == ["Warning"]
+    assert engine.handle_inbox(undo, bob) == [
+        "Undo references unknown object http://b.test/act/never-seen"
+    ]
 
 
 # --- Delete -----------------------------------------------------------------------------
@@ -453,18 +448,17 @@ def test_undo_of_unknown_object_warns(world):
 def test_delete_of_self_wipes_the_senders_data(world):
     engine, store, _, alice = world
     bob = remote_actor()
-    engine.handle_inbox(create_activity(bob, note_from(bob)), bob)
+    note = note_from(bob)
+    engine.handle_inbox(create_activity(bob, note), bob)
     delete = Activity(
         id=f"{bob.id}#delete",
         kind=ActivityKind.DELETE,
         actor=bob.id,
         object=bob.id,
     )
-    effects = engine.handle_inbox(delete, bob)
-    assert kinds(effects) == ["DeleteAccount"]
-    assert effects[0].detail["account"] == 1
-    assert effects[0].detail["statuses"] == 1
+    assert engine.handle_inbox(delete, bob) == []
     assert store.get_account_by_uri(bob.id) is None
+    assert store.get_status_by_uri(note.id) is None
     assert store.is_tombstoned(bob.id)
     # Once deleted, the same sender is refused outright.
     with pytest.raises(TombstonedActor):
@@ -481,8 +475,9 @@ def test_delete_of_someone_else_is_ignored(world):
         actor=bob.id,
         object=carol.actor_uri,
     )
-    effects = engine.handle_inbox(delete, bob)
-    assert kinds(effects) == ["Warning"]
+    assert engine.handle_inbox(delete, bob) == [
+        f"Delete for {carol.actor_uri} from {bob.id} ignored"
+    ]
     assert store.get_account_by_uri(carol.actor_uri) is not None
     assert not store.is_tombstoned(carol.actor_uri)
 
@@ -493,9 +488,8 @@ def test_delete_from_unknown_actor_still_tombstones(world):
     delete = Activity(
         id=f"{ghost.id}#delete", kind=ActivityKind.DELETE, actor=ghost.id, object=ghost.id
     )
-    effects = engine.handle_inbox(delete, ghost)
-    assert kinds(effects) == ["DeleteAccount"]
-    assert effects[0].detail["account"] == 0
+    assert engine.handle_inbox(delete, ghost) == []
+    assert store.get_account_by_uri(ghost.id) is None
     assert store.is_tombstoned(ghost.id)
 
 
@@ -580,8 +574,16 @@ def test_fan_out_dedupes_follower_who_is_also_mentioned(world):
     assert [t.target_inbox for t in tasks] == [bob.inbox_uri]
 
 
-def test_fan_out_matches_the_audience_oracle(world):
+def test_fan_out_matches_the_audience_oracle(world, monkeypatch):
     engine, store, _, alice = world
+    owner_ids = []
+    insert = store.insert_timeline_entry
+
+    def recording(owner_id, status_id, now):
+        owner_ids.append(owner_id)
+        return insert(owner_id, status_id, now)
+
+    monkeypatch.setattr(store, "insert_timeline_entry", recording)
     rng = random.Random(77)
     pool = [
         remote_account(store, f"user{i}", f"host{i // 3}.test") for i in range(9)
@@ -622,7 +624,9 @@ def test_fan_out_matches_the_audience_oracle(world):
         want = expected_remote_inboxes(visibility, followers, mentioned)
         assert got == want, (trial, visibility)
         # The local half: each local account that may view it gets a timeline row.
-        owners = {e.detail["owner"] for e in engine.local_fan_in(status, alice)}
+        owner_ids.clear()
+        engine.local_fan_in(status, alice)
+        owners = {store.get_account(i).acct for i in owner_ids}
         follows = {(a.actor_uri, alice.id) for a in followers}
         viewers = {a.acct for a in locals_ if may_view(a, status, alice, follows)}
         assert owners == viewers, (trial, visibility)

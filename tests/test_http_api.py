@@ -548,6 +548,27 @@ def test_tombstoned_sender_is_403(node):
     assert body_json(response)["error"] == "TombstonedActor"
 
 
+def test_only_an_honoured_self_delete_evicts_the_cached_signer(node):
+    bob = install_remote(node.transport)
+    carol = install_remote(node.transport, "carol", "c.test")
+    signed_inbox_post(node, bob_create(), BOB_KEY_ID, REMOTE_PRIVATE)
+
+    def delete(actor, target):
+        return json.dumps(
+            {"type": "Delete", "id": f"{actor}#delete", "actor": actor, "object": target}
+        )
+
+    response = signed_inbox_post(node, delete(carol, bob), f"{carol}#main-key", REMOTE_PRIVATE)
+    assert body_json(response)["warnings"] == [f"Delete for {bob} from {carol} ignored"]
+    assert node.cached_actor(carol) is not None
+    assert node.cached_actor(bob) is not None
+
+    response = signed_inbox_post(node, delete(bob, bob), BOB_KEY_ID, REMOTE_PRIVATE)
+    assert body_json(response) == {"queued": True, "warnings": []}
+    assert node.cached_actor(bob) is None
+    assert node.cached_actor(carol) is not None
+
+
 def test_malformed_inbox_payloads_are_400(node):
     install_remote(node.transport)
     response = signed_inbox_post(node, "this is not json", BOB_KEY_ID, REMOTE_PRIVATE)

@@ -4,7 +4,7 @@ import random
 import sys
 import threading
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -356,15 +356,13 @@ def test_record_interaction_dedupes_by_kind_actor_object(store):
     assert len(interactions_on(store, "https://a.test/s/1")) == 2
 
 
-def test_remove_interaction_by_activity_and_restore(store):
+def test_remove_interaction_by_activity(store):
     store.record_interaction(
         "Like", "https://b.test/users/bob", "https://a.test/s/1", "https://b.test/act/1", 0.0
     )
     item = store.remove_interaction_by_activity("https://b.test/act/1")
     assert item is not None and item.kind == "Like"
     assert interactions_on(store, "https://a.test/s/1") == []
-    store.restore_interaction(item)
-    assert interactions_on(store, "https://a.test/s/1") == [asdict(item)]
     assert store.remove_interaction_by_activity("https://nope") is None
 
 

@@ -14,7 +14,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .config import Config, load_config
 from .errors import BindFailed, MothError
-from .http_api import _error
+from .http_api import _error, _Refused
 from .httpsig import generate_rsa_keypair, load_public_key
 from .identity import (
     actor_from_document,
@@ -65,19 +65,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace) -> Config:
-    defaults = {"domain": "localhost"}
-    config = load_config(args.config, defaults=defaults)
-    if args.domain:
-        config.domain = args.domain
-    if args.port:
-        config.port = args.port
-    if args.store:
-        from .config import _parse_store
-
-        config.storage_backend, config.storage_path = _parse_store(args.store)
-    if args.test_mode:
-        config.test_mode = True
-    return config.validate()
+    # An absent --test-mode reads False, which must not override the file.
+    test_mode = args.test_mode or None
+    flags = dict(domain=args.domain, port=args.port, store=args.store, test_mode=test_mode)
+    return load_config(args.config, defaults={"domain": "localhost"}, flags=flags)
 
 
 # --- serve -----------------------------------------------------------------
@@ -98,35 +89,53 @@ def _handler_for(node: InstanceNode) -> type[BaseHTTPRequestHandler]:
             pass
 
         def _read_and_handle(self) -> HttpResponse:
+            try:
+                request = self._request()
+                request.body = self._body()
+            except _Refused as refused:
+                return _refuse_body(refused.status, refused.reason, refused.detail)
+            return node.handle_http(request)
+
+        def _request(self) -> HttpRequest:
+            """The request less its body; its URL comes from the request target
+            and the one Host line (RFC 9112 section 3.2)."""
+            hosts = self.headers.get_all("Host", [])
+            if len(hosts) > 1 or not (hosts or self.request_version in ("HTTP/0.9", "HTTP/1.0")):
+                raise _Refused(400, "BadHost", f"{len(hosts)} Host lines in {self.request_version}")
+            host = hosts[0] if hosts else node.domain
+            # Section 3.2.2: an absolute-form target names its own host.
+            absolute = self.path.lower().startswith(("http://", "https://"))
+            scheme = "http" if node.config.test_mode else "https"
+            url = self.path if absolute else f"{scheme}://{host}{self.path}"
+            try:
+                request = HttpRequest(self.command, url, dict(self.headers.items()))
+            except ValueError as exc:
+                raise _Refused(400, "BadHost", f"{url!r}: {exc}") from exc
+            if not request.host or not (absolute or request.authority == host):
+                raise _Refused(400, "BadHost", f"target {self.path!r} with Host {host!r}")
+            return request
+
+        def _body(self) -> bytes:
             # RFC 9112 section 6.3: a body must be framed by exactly one length.
             if "Transfer-Encoding" in self.headers:
                 coding = self.headers["Transfer-Encoding"]
-                return _refuse_body(411, "LengthRequired", f"Transfer-Encoding {coding!r}")
+                raise _Refused(411, "LengthRequired", f"Transfer-Encoding {coding!r}")
             lengths = {
                 value.strip()
                 for header in self.headers.get_all("Content-Length", ())
                 for value in header.split(",")
             }
             if len(lengths) > 1:
-                return _refuse_body(
+                raise _Refused(
                     400, "BadContentLength", f"Content-Length values differ: {sorted(lengths)}"
                 )
             text = lengths.pop() if lengths else "0"
             if not (text.isascii() and text.isdigit()):
-                return _refuse_body(400, "BadContentLength", f"Content-Length {text!r}")
+                raise _Refused(400, "BadContentLength", f"Content-Length {text!r}")
             length = int(text)
             if length > MAX_BODY_BYTES:
-                return _refuse_body(413, "BodyTooLarge", f"{length} > {MAX_BODY_BYTES} bytes")
-            body = self.rfile.read(length) if length else b""
-            host = self.headers.get("Host") or node.domain
-            scheme = "http" if node.config.test_mode else "https"
-            request = HttpRequest(
-                method=self.command,
-                url=f"{scheme}://{host}{self.path}",
-                headers={k: v for k, v in self.headers.items()},
-                body=body,
-            )
-            return node.handle_http(request)
+                raise _Refused(413, "BodyTooLarge", f"{length} > {MAX_BODY_BYTES} bytes")
+            return self.rfile.read(length) if length else b""
 
         def _dispatch(self) -> None:
             response = self._read_and_handle()

@@ -1,7 +1,8 @@
 """Server configuration: flat JSON file, environment overrides, validation.
 
-Precedence: environment variables (MOTH_DOMAIN, MOTH_PORT, MOTH_STORE)
-beat the config file, which beats built-in defaults.
+Precedence: command-line flags beat environment variables (MOTH_DOMAIN,
+MOTH_PORT, MOTH_STORE), which beat the config file, which beats built-in
+defaults.
 """
 from __future__ import annotations
 
@@ -62,22 +63,25 @@ class Config:
 
 
 def _parse_store(value: str) -> tuple[str, str | None]:
-    """MOTH_STORE syntax: "memory" or "file:<path>"."""
+    """MOTH_STORE and --store syntax: "memory" or "file:<path>"."""
     if value == "memory":
         return "memory", None
     if value.startswith("file:"):
         path = value[len("file:"):]
         if not path:
-            raise ConfigError("MOTH_STORE file backend needs a path (file:<path>)")
+            raise ConfigError("file store needs a path (file:<path>)")
         return "file", path
-    raise ConfigError(f"MOTH_STORE must be 'memory' or 'file:<path>', got {value!r}")
+    raise ConfigError(f"store must be 'memory' or 'file:<path>', got {value!r}")
 
 
 def load_config(
     path: str | None = None,
     env: Mapping[str, str] | None = None,
     defaults: Mapping[str, Any] | None = None,
+    flags: Mapping[str, Any] | None = None,
 ) -> Config:
+    """Defaults, then the file at path, then env, then flags: config keys, or
+    "store" in MOTH_STORE syntax; a flag that is None was not given."""
     env = os.environ if env is None else env
     merged: dict[str, Any] = dict(defaults or {})
 
@@ -93,16 +97,19 @@ def load_config(
             raise ConfigError(f"config file {path} must hold a JSON object")
         merged.update(file_data)
 
-    if ENV_DOMAIN in env:
-        merged["domain"] = env[ENV_DOMAIN]
+    from_env: dict[str, Any] = {"domain": env.get(ENV_DOMAIN), "store": env.get(ENV_STORE)}
     if ENV_PORT in env:
         try:
-            merged["port"] = int(env[ENV_PORT])
+            from_env["port"] = int(env[ENV_PORT])
         except ValueError as exc:
             raise ConfigError(f"{ENV_PORT} must be an integer") from exc
-    if ENV_STORE in env:
-        backend, store_path = _parse_store(env[ENV_STORE])
-        merged["storage_backend"] = backend
-        merged["storage_path"] = store_path
+    for layer in (from_env, flags or {}):
+        for key, value in layer.items():
+            if value is None:
+                continue
+            if key == "store":
+                merged["storage_backend"], merged["storage_path"] = _parse_store(value)
+            else:
+                merged[key] = value
 
     return Config.from_dict(merged)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from email.utils import format_datetime, parsedate_to_datetime
 from typing import TYPE_CHECKING, Callable
-from urllib.parse import urlsplit
 
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
@@ -28,6 +27,7 @@ from .errors import (
     NoSignature,
     StaleDate,
 )
+from .transport import HttpRequest
 
 if TYPE_CHECKING:  # importing it loads every key type's native module
     from cryptography.hazmat.primitives.asymmetric.types import PrivateKeyTypes, PublicKeyTypes
@@ -72,16 +72,6 @@ def body_digest(body: bytes) -> str:
     return "SHA-256=" + base64.b64encode(sha256(body)).decode("ascii")
 
 
-def _request_target(url: str) -> tuple[str, str]:
-    """(host, target) pair for a request URL; target keeps the query string."""
-    parts = urlsplit(url)
-    host = parts.netloc
-    target = parts.path or "/"
-    if parts.query:
-        target = f"{target}?{parts.query}"
-    return host, target
-
-
 def signing_string(
     method: str,
     target: str,
@@ -111,18 +101,18 @@ def sign_request(
     date: datetime,
 ) -> dict[str, str]:
     """The headers that sign this request; private_key is from load_private_key."""
-    host, target = _request_target(url)
+    parts = HttpRequest(method, url)  # the split the receiver's server makes
     date_text = format_datetime(date.astimezone(timezone.utc), usegmt=True)
     digest = body_digest(body)
-    values = {"host": host, "date": date_text, "digest": digest}
-    message = signing_string(method, target, values, SIGNED_HEADERS)
+    values = {"host": parts.authority, "date": date_text, "digest": digest}
+    message = signing_string(method, parts.target, values, SIGNED_HEADERS)
     raw = private_key.sign(message.encode("utf-8"), padding.PKCS1v15(), hashes.SHA256())
     signature = base64.b64encode(raw).decode("ascii")
     header = (
         f'keyId="{key_id}",algorithm="{ALGORITHM}",'
         f'headers="{" ".join(SIGNED_HEADERS)}",signature="{signature}"'
     )
-    return {"Host": host, "Date": date_text, "Digest": digest, "Signature": header}
+    return {"Host": parts.authority, "Date": date_text, "Digest": digest, "Signature": header}
 
 
 _PARAM_RE = re.compile(r'([A-Za-z]+)="([^"]*)"')

@@ -176,10 +176,8 @@ class InstanceNode:
 
     # --- delivery --------------------------------------------------------------
 
-    def process_deliveries(self, now: float | None = None) -> QueueReport:
-        return self.engine.process_queue(
-            self.clock() if now is None else now, self.transport
-        )
+    def process_deliveries(self) -> QueueReport:
+        return self.engine.process_queue(self.clock(), self.transport)
 
     def pending_deliveries(self) -> int:
         return self.store.pending_count()

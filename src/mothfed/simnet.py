@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -59,7 +59,7 @@ class FaultRule:
     def matches(self, request: HttpRequest) -> bool:
         if self.times is not None and self.applied >= self.times:
             return False
-        if self.host is not None and request.host.split(":", 1)[0] != self.host:
+        if self.host is not None and request.host != self.host:
             return False
         if self.method is not None and request.method.upper() != self.method.upper():
             return False
@@ -241,16 +241,13 @@ class VirtualNet:
                 self.clock.advance(rule.delay_ms / 1000.0)
                 fault_label = label
 
-        host = request.host.split(":", 1)[0]
-        node = self.instances.get(host)
+        node = self.instances.get(request.host)
         if node is None:
             self._log(from_domain, request, None, fault_label)
-            raise TransportError(f"no instance serves {host}")
+            raise TransportError(f"no instance serves {request.host}")
         headers = dict(request.headers)
-        headers.setdefault("Host", request.host)
-        response = node.handle_http(
-            HttpRequest(request.method, request.url, headers, request.body)
-        )
+        headers.setdefault("Host", request.authority)
+        response = node.handle_http(replace(request, headers=headers))
         self._log(from_domain, request, response.status, fault_label)
         return response
 

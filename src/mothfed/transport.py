@@ -15,30 +15,23 @@ from .errors import MothError, TransportError
 @dataclass
 class HttpRequest:
     method: str
-    url: str  # absolute URL; servers route on its path, transports on its host
+    url: str  # absolute URL, split once into the five parts below
     headers: dict[str, str] = field(default_factory=dict)
     body: bytes = b""
+    authority: str = field(init=False, repr=False)  # netloc as sent, port kept
+    host: str = field(init=False, repr=False)  # lower-cased, no port
+    path: str = field(init=False, repr=False)
+    target: str = field(init=False, repr=False)  # origin-form: path[?query]
+    query: dict[str, str] = field(init=False, repr=False)
 
-    @property
-    def host(self) -> str:
-        return urlsplit(self.url).hostname or ""
-
-    @property
-    def path(self) -> str:
-        return urlsplit(self.url).path or "/"
-
-    @property
-    def target(self) -> str:
-        """Request target as it appears on the request line: path[?query]."""
+    def __post_init__(self) -> None:
         parts = urlsplit(self.url)
-        if parts.query:
-            return f"{parts.path}?{parts.query}"
-        return parts.path or "/"
-
-    @property
-    def query(self) -> dict[str, str]:
-        parsed = parse_qs(urlsplit(self.url).query, keep_blank_values=True)
-        return {k: v[0] for k, v in parsed.items()}
+        self.authority = parts.netloc
+        self.host = parts.hostname or ""
+        self.path = parts.path or "/"
+        # RFC 9112 section 3.2.1: an empty path is sent as "/".
+        self.target = f"{self.path}?{parts.query}" if parts.query else self.path
+        self.query = {k: v[0] for k, v in parse_qs(parts.query, keep_blank_values=True).items()}
 
     def header(self, name: str) -> str | None:
         wanted = name.lower()

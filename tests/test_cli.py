@@ -496,6 +496,49 @@ class TestFraming:
         assert body["error"] == "NoSignature"
 
 
+class TestHost:
+    """Each request names one host (RFC 9112 section 3.2)."""
+
+    def test_an_http11_request_without_host_is_refused_but_http10_is_served(
+        self, served_port
+    ):
+        reply = _raw_reply(served_port, b"GET /users/alice HTTP/1.1\r\n\r\n")
+        status, connection, body = _refusal(reply)
+        assert status == "HTTP/1.1 400 Bad Request"
+        assert connection == "close"
+        assert body["error"] == "BadHost"
+        reply = _raw_reply(served_port, b"GET /users/alice HTTP/1.0\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert b'"id": "http://serve.test/users/alice"' in reply
+
+    @pytest.mark.parametrize(
+        "hosts",
+        [["serve.test", "other.test"], ["serve.test", "serve.test"], ["serve.test/x"], ["[::1"]],
+        ids=["two hosts", "one host twice", "host with a path", "unclosed bracket"],
+    )
+    def test_a_host_that_is_not_one_authority_is_refused_with_400(self, served_port, hosts):
+        request = b"GET /users/alice HTTP/1.1\r\n"
+        request += b"".join(f"Host: {host}\r\n".encode() for host in hosts)
+        status, connection, body = _refusal(_raw_reply(served_port, request + b"\r\n"))
+        assert status == "HTTP/1.1 400 Bad Request"
+        assert connection == "close"
+        assert body["error"] == "BadHost"
+
+    def test_an_absolute_form_target_is_served_like_the_origin_form(self, served_port):
+        replies = [
+            _raw_reply(
+                served_port,
+                f"GET {target} HTTP/1.1\r\nHost: serve.test\r\n"
+                "Accept: application/activity+json\r\nConnection: close\r\n\r\n".encode(),
+            )
+            for target in ("/users/alice", "http://serve.test/users/alice")
+        ]
+        origin, absolute = (reply.split(b"\r\n\r\n", 1) for reply in replies)
+        assert origin[0].startswith(b"HTTP/1.1 200 ")
+        assert absolute[0].startswith(b"HTTP/1.1 200 ")
+        assert absolute[1] == origin[1]
+
+
 class TestServerRefusals:
     """http.server's own refusals answer in the API's JSON error shape."""
 

@@ -20,6 +20,7 @@ from mothfed.httpsig import (
     sign_request,
     verify_signature,
 )
+from mothfed.transport import HttpRequest
 
 from .support import FIXED_PRIVATE_PEM, FIXED_PUBLIC_PEM, independent_verify
 
@@ -108,6 +109,17 @@ def test_closed_loop_accepts_a_fresh_signature():
     headers = signed()
     actor = verify_signature(
         "POST", TARGET, headers, BODY, fetcher(FIXED_PUBLIC_PEM), now=NOW
+    )
+    assert actor.id == ACTOR_URI
+
+
+def test_signer_and_receiver_agree_on_an_empty_path_with_a_query():
+    request = HttpRequest("POST", "http://b.test?x=1", body=BODY)
+    headers = sign_request(
+        "POST", request.url, BODY, KEY_ID, load_private_key(FIXED_PRIVATE_PEM), NOW
+    )
+    actor = verify_signature(
+        "POST", request.target, headers, BODY, fetcher(FIXED_PUBLIC_PEM), now=NOW
     )
     assert actor.id == ACTOR_URI
 

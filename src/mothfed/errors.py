@@ -47,11 +47,11 @@ class UnsupportedType(MothError):
     """Activity type outside the supported set."""
 
 
-class MissingEndpoint(MothError):
+class MissingEndpoint(MalformedDocument):
     """Actor document has no inbox; it cannot be delivered to."""
 
 
-class MissingKey(MothError):
+class MissingKey(MalformedDocument):
     """Actor document has no public key; its requests cannot be verified."""
 
 

@@ -206,7 +206,7 @@ class FederationEngine:
         relation = store.upsert_follow(
             follower_actor_uri=actor.id,
             followee_account_id=target.id,
-            state="pending",
+            state="accepted",
             follow_activity_id=activity.id,
             created_at=self.clock(),
         )
@@ -219,7 +219,6 @@ class FederationEngine:
             to=(actor.id,),
         )
         self.enqueue(accept, signer=target, inboxes=[actor.inbox])
-        store.set_follow_state(relation.id, "accepted")
         return []
 
     def _handle_accept(self, activity: Activity, actor: Actor) -> list[str]:

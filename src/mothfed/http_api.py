@@ -25,6 +25,7 @@ from .activitypub import (
     parse_activity,
     to_wire_dict,
     type_name,
+    uri_host,
 )
 from .errors import (
     ActorFetchFailed,
@@ -228,6 +229,11 @@ class HttpApi:
 
     def _inbox(self, request: HttpRequest, name: str) -> HttpResponse:
         self._local_account(name)
+        # Checked before the signature, so a delivery meant for another
+        # server costs no actor fetch.
+        here = uri_host(self.node.base_url)
+        if request.host != here:
+            raise _Refused(401, "BadSignature", f"signed for {request.host}, not {here}")
         try:
             verified = self._verify(request)
         except SignatureError as exc:

@@ -7,6 +7,7 @@ fixed seed makes whole scenario runs byte-reproducible.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -51,7 +52,7 @@ class FaultRule:
     host: str | None = None
     method: str | None = None
     path_contains: str | None = None
-    delay_ms: float = 0.0
+    delay_ms: float = 0.0  # waited before the behavior, whichever it is
     status_code: int = 500
     times: int | None = None  # None = until removed
     applied: int = 0
@@ -101,13 +102,12 @@ class VirtualNet:
     def __init__(
         self,
         seed: int = 0,
-        start_time: float = START_TIME,
         backend: str = "memory",
         storage_root: str | None = None,
         key_bits: int = 1024,
     ) -> None:
         self.seed = seed
-        self.clock = VirtualClock(start_time)
+        self.clock = VirtualClock()
         self.backend = backend
         self.storage_root = Path(storage_root) if storage_root else None
         self.key_bits = key_bits
@@ -222,12 +222,14 @@ class VirtualNet:
         rule = self._match_fault(request)
         if rule is not None:
             rule.applied += 1
-            label = f"{rule.behavior}#{rule.rule_id}"
+            fault_label = f"{rule.behavior}#{rule.rule_id}"
+            # A drop after a wait is what a timeout looks like.
+            self.clock.advance(rule.delay_ms / 1000.0)
             if rule.behavior == "drop":
-                self._log(from_domain, request, None, label)
+                self._log(from_domain, request, None, fault_label)
                 raise TransportError(f"dropped by fault rule {rule.rule_id}")
             if rule.behavior == "status":
-                self._log(from_domain, request, rule.status_code, label)
+                self._log(from_domain, request, rule.status_code, fault_label)
                 return HttpResponse(
                     rule.status_code,
                     {"Content-Type": "application/json"},
@@ -235,11 +237,8 @@ class VirtualNet:
                 )
             if rule.behavior == "empty_200":
                 # The classic silent failure: success code, nothing inside.
-                self._log(from_domain, request, 200, label)
+                self._log(from_domain, request, 200, fault_label)
                 return HttpResponse(200, {}, b"")
-            if rule.behavior == "delay":
-                self.clock.advance(rule.delay_ms / 1000.0)
-                fault_label = label
 
         node = self.instances.get(request.host)
         if node is None:
@@ -396,7 +395,6 @@ class VirtualNet:
         method: str | None = None,
         url_contains: str | None = None,
         status: int | None = None,
-        from_domain: str | None = None,
         start: int = 0,
     ) -> list[LogEntry]:
         found = []
@@ -406,8 +404,6 @@ class VirtualNet:
             if url_contains is not None and url_contains not in entry.url:
                 continue
             if status is not None and entry.status != status:
-                continue
-            if from_domain is not None and entry.from_domain != from_domain:
                 continue
             found.append(entry)
         return found
@@ -422,9 +418,27 @@ class VirtualNet:
 
 # --- scenario scripts ------------------------------------------------------------
 
+# Step ops run as the VirtualNet method of that name, with the step's other
+# members as keyword arguments.
+NET_OPS = ("spawn_instance", "follow", "post_status", "delete_account", "run_until_quiet")
+RUNNER_OPS = ("lookup", "inject_fault", "remove_fault", "mark_log", "expect")
+
+
+def _call(function: Any, members: dict[str, Any]) -> Any:
+    """function(**members); a member it does not take, or lacks, fails the step."""
+    try:
+        inspect.signature(function).bind(**members)
+    except TypeError as exc:
+        raise ExpectationFailed(str(exc)) from None
+    return function(**members)
+
 
 class ScenarioRunner:
-    """Executes a JSON scenario: a name plus an ordered list of step objects."""
+    """Executes a JSON scenario: a name plus an ordered list of step objects.
+
+    A step's "op" is either one of NET_OPS or one of RUNNER_OPS, the runner's
+    own steps, which keep fault aliases and the log mark or check an outcome.
+    """
 
     def __init__(self, net: VirtualNet) -> None:
         self.net = net
@@ -453,108 +467,59 @@ class ScenarioRunner:
         self.run(self.load(path))
 
     def _step(self, step: dict[str, Any]) -> None:
-        op = step.get("op")
-        net = self.net
-        if op == "spawn":
-            net.spawn_instance(step["domain"], step.get("users", []))
-        elif op == "kill":
-            net.kill_instance(step["domain"])
-        elif op == "respawn":
-            net.respawn_instance(step["domain"])
-        elif op == "lookup":
-            response = net.lookup(step["domain"], step["acct"])
-            expected = step.get("expect_status", 200)
-            if response.status != expected:
-                raise ExpectationFailed(
-                    f"lookup {step['acct']} returned {response.status}, wanted {expected}"
-                )
-        elif op == "follow":
-            net.follow(step["domain"], step["as"], step["target"])
-        elif op == "post_status":
-            net.post_status(
-                step["domain"],
-                step["as"],
-                step["text"],
-                visibility=step.get("visibility", "public"),
-            )
-        elif op == "delete_account":
-            net.delete_account(step["domain"], step["user"])
-        elif op == "inject_fault":
-            rule_id = net.inject_fault(
-                behavior=step["behavior"],
-                host=step.get("host"),
-                method=step.get("method"),
-                path_contains=step.get("path_contains"),
-                delay_ms=step.get("delay_ms", 0.0),
-                status_code=step.get("status_code", 500),
-                times=step.get("times"),
-            )
-            if "id" in step:
-                self._fault_aliases[step["id"]] = rule_id
-        elif op == "remove_fault":
-            net.remove_fault(self._fault_aliases.pop(step["id"]))
-        elif op == "run_until_quiet":
-            net.run_until_quiet(step.get("max_steps", 200))
-        elif op == "advance":
-            net.clock.advance(step["seconds"])
-        elif op == "mark_log":
-            self._log_mark = len(net.log)
-        elif op == "expect":
-            self._expect(step)
+        members = dict(step)
+        op = members.pop("op", None)
+        if op in NET_OPS:
+            _call(getattr(self.net, op), members)
+        elif op in RUNNER_OPS:
+            _call(getattr(self, f"_{op}"), members)
         else:
             raise ExpectationFailed(f"unknown scenario op {op!r}")
 
-    def _expect(self, step: dict[str, Any]) -> None:
-        check = step.get("check")
+    def _lookup(self, domain: str, acct: str, expect_status: int = 200) -> None:
+        status = self.net.lookup(domain, acct).status
+        if status != expect_status:
+            raise ExpectationFailed(f"lookup {acct} returned {status}, wanted {expect_status}")
+
+    def _inject_fault(self, id: str | None = None, **rule: Any) -> None:
+        rule_id = _call(self.net.inject_fault, rule)
+        if id is not None:
+            self._fault_aliases[id] = rule_id
+
+    def _remove_fault(self, id: str) -> None:
+        self.net.remove_fault(self._fault_aliases.pop(id))
+
+    def _mark_log(self) -> None:
+        self._log_mark = len(self.net.log)
+
+    def _expect(
+        self, check: str, domain: str = "", user: str = "", tag: str = "", acct: str = "",
+        content_substring: str = "", method: str | None = None, url_contains: str | None = None,
+        status: int | None = None, since_mark: bool = False, equals: int | None = None,
+    ) -> None:
+        """One check; its keywords are every member some check reads."""
         net = self.net
-        if check in ("home_timeline_contains", "home_timeline_absent"):
-            timeline = net.home_timeline(step["domain"], step["user"])
-            needle = step["content_substring"]
-            hit = any(needle in item["content"] for item in timeline)
-            if check.endswith("contains") and not hit:
-                raise ExpectationFailed(
-                    f"{step['user']}@{step['domain']} home timeline lacks {needle!r}"
-                )
-            if check.endswith("absent") and hit:
-                raise ExpectationFailed(
-                    f"{step['user']}@{step['domain']} home timeline contains {needle!r}"
-                )
-        elif check in ("tag_timeline_contains", "tag_timeline_absent"):
-            timeline = net.tag_timeline(step["domain"], step["tag"])
-            needle = step["content_substring"]
-            hit = any(needle in item["content"] for item in timeline)
-            if check.endswith("contains") and not hit:
-                raise ExpectationFailed(f"tag #{step['tag']} lacks {needle!r}")
-            if check.endswith("absent") and hit:
-                raise ExpectationFailed(f"tag #{step['tag']} contains {needle!r}")
-        elif check in ("account_absent", "account_present"):
-            response = net.lookup(step["domain"], step["acct"])
-            if check == "account_absent" and response.status not in (404, 410):
-                raise ExpectationFailed(
-                    f"lookup {step['acct']} on {step['domain']} returned {response.status}"
-                )
-            if check == "account_present" and response.status != 200:
-                raise ExpectationFailed(
-                    f"lookup {step['acct']} on {step['domain']} returned {response.status}"
-                )
+        kind, _, outcome = check.partition("_timeline_")
+        if kind in ("home", "tag") and outcome in ("contains", "absent"):
+            if kind == "home":
+                where, items = f"{user}@{domain} home timeline", net.home_timeline(domain, user)
+            else:
+                where, items = f"tag #{tag}", net.tag_timeline(domain, tag)
+            hit = any(content_substring in item["content"] for item in items)
+            if hit != (outcome == "contains"):
+                found = "contains" if hit else "lacks"
+                raise ExpectationFailed(f"{where} {found} {content_substring!r}")
+        elif check == "account_absent":
+            response = net.lookup(domain, acct)
+            if response.status not in (404, 410):
+                raise ExpectationFailed(f"lookup {acct} on {domain} returned {response.status}")
         elif check == "log_count":
-            entries = net.log_entries(
-                method=step.get("method"),
-                url_contains=step.get("url_contains"),
-                status=step.get("status"),
-                from_domain=step.get("from"),
-                start=self._log_mark if step.get("since_mark") else 0,
-            )
-            count = len(entries)
-            if "equals" in step and count != step["equals"]:
+            start = self._log_mark if since_mark else 0
+            count = len(net.log_entries(method, url_contains, status, start))
+            if count != equals:
                 raise ExpectationFailed(
-                    f"log count {count}, wanted {step['equals']} "
-                    f"(filter {step.get('url_contains')!r})"
+                    f"log count {count}, wanted {equals} (filter {url_contains!r})"
                 )
-            if "min" in step and count < step["min"]:
-                raise ExpectationFailed(f"log count {count} < min {step['min']}")
-            if "max" in step and count > step["max"]:
-                raise ExpectationFailed(f"log count {count} > max {step['max']}")
         elif check == "no_outbox_get":
             hits = net.outbox_gets()
             if hits:
@@ -563,22 +528,17 @@ class ScenarioRunner:
             if net.pending_total() != 0:
                 raise ExpectationFailed(f"{net.pending_total()} deliveries still pending")
         elif check == "failures_have_reasons":
-            for domain in sorted(net.instances):
-                for task in net.instances[domain].store.all_tasks():
+            for name in sorted(net.instances):
+                for task in net.instances[name].store.all_tasks():
                     if task.terminal and not task.result:
                         raise ExpectationFailed(
-                            f"terminal task {task.task_id} on {domain} has no recorded reason"
+                            f"terminal task {task.task_id} on {name} has no recorded reason"
                         )
         elif check == "status_count":
-            node = net.instances[step["domain"]]
-            account = node.store.get_local_account(step["user"])
-            count = (
-                len(node.store.statuses_by_account(account.id)) if account is not None else 0
-            )
-            if count != step["equals"]:
-                raise ExpectationFailed(
-                    f"{step['user']}@{step['domain']} has {count} statuses, "
-                    f"wanted {step['equals']}"
-                )
+            store = net.instances[domain].store
+            account = store.get_local_account(user)
+            count = len(store.statuses_by_account(account.id)) if account is not None else 0
+            if count != equals:
+                raise ExpectationFailed(f"{user}@{domain} has {count} statuses, wanted {equals}")
         else:
             raise ExpectationFailed(f"unknown expect check {check!r}")

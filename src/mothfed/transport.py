@@ -11,6 +11,8 @@ from urllib.parse import parse_qs, urlsplit
 
 from .errors import MothError, TransportError
 
+TIMEOUT_SECONDS = 15.0  # per outbound request, connect and read
+
 
 @dataclass
 class HttpRequest:
@@ -74,12 +76,10 @@ def get_body(
 class UrllibTransport:
     """Real network transport used by the CLI (serve, probe)."""
 
-    def __init__(self, timeout: float = 15.0):
+    def __init__(self) -> None:
         # Loaded when a server builds its transport, so its first delivery does
         # not pay for it; not on import, as simnet never needs http.client or ssl.
         import urllib.request
-
-        self.timeout = timeout
 
     def request(self, request: HttpRequest) -> HttpResponse:
         import urllib.error
@@ -95,7 +95,7 @@ class UrllibTransport:
                 continue  # urllib sets Host from the URL
             req.add_header(name, value)
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
+            with urllib.request.urlopen(req, timeout=TIMEOUT_SECONDS) as resp:
                 return HttpResponse(
                     status=resp.status,
                     headers={k.lower(): v for k, v in resp.headers.items()},

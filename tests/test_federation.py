@@ -51,12 +51,7 @@ class Ticker:
         return self.t
 
 
-@pytest.fixture
-def world():
-    store = MemoryStore()
-    clock = Ticker()
-    config = Config(domain=LOCAL, test_mode=True)
-    engine = FederationEngine(config, store, clock)
+def add_local_alice(store):
     alice = store.upsert_account(
         Account(
             id=None,
@@ -70,7 +65,15 @@ def world():
         )
     )
     store.save_keypair("alice", PRIVATE_PEM, PUBLIC_PEM)
-    return engine, store, clock, alice
+    return alice
+
+
+@pytest.fixture
+def world():
+    store = MemoryStore()
+    clock = Ticker()
+    engine = FederationEngine(Config(domain=LOCAL, test_mode=True), store, clock)
+    return engine, store, clock, add_local_alice(store)
 
 
 def remote_actor(username="bob", domain="b.test"):
@@ -258,6 +261,25 @@ def test_follow_is_accepted_and_acknowledged(world):
     assert body["actor"] == alice.actor_uri
     assert body["object"] == "http://b.test/follows/1"
     assert body["id"] == f"{alice.actor_uri}#accepts/follows/{relation.id}"
+
+
+def test_an_inbound_follow_writes_its_follow_row_once(tmp_path, monkeypatch):
+    store = FileStore(tmp_path / "store")
+    engine = FederationEngine(Config(domain=LOCAL, test_mode=True), store, Ticker())
+    alice = add_local_alice(store)
+    bob = remote_actor()
+    written = []
+    write = store._write
+
+    def counted(collection, key, value):
+        written.append(collection)
+        write(collection, key, value)
+
+    monkeypatch.setattr(store, "_write", counted)
+    assert engine.handle_inbox(follow_activity(bob, alice.actor_uri), bob) == []
+    assert written.count("follows") == 1
+    assert store.get_follow(bob.id, alice.id).state == "accepted"
+    store.close()
 
 
 def test_follow_without_id_cannot_be_acknowledged(world):

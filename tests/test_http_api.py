@@ -120,9 +120,10 @@ def body_json(response):
     return json.loads(response.body)
 
 
-def signed_inbox_post(node, activity_body, key_id, private_pem, date=None, path="/users/alice/inbox"):
+def signed_inbox_post(node, activity_body, key_id, private_pem, date=None,
+                      path="/users/alice/inbox", base=BASE):
     body = activity_body if isinstance(activity_body, bytes) else activity_body.encode()
-    url = f"{BASE}{path}"
+    url = f"{base}{path}"
     when = date or datetime.fromtimestamp(node.clock(), tz=timezone.utc)
     headers = sign_request("POST", url, body, key_id, load_private_key(private_pem), when)
     headers["Content-Type"] = ACTIVITY_MEDIA_TYPE
@@ -579,6 +580,46 @@ def test_malformed_inbox_payloads_are_400(node):
     response = signed_inbox_post(node, no_actor, BOB_KEY_ID, REMOTE_PRIVATE)
     assert response.status == 400
     assert body_json(response)["error"] == "MissingRequiredField"
+
+
+def test_an_embedded_partial_actor_is_400_not_500(node):
+    install_remote(node.transport)
+    person = {
+        "type": "Person",
+        "id": f"{BASE}/users/alice",
+        "preferredUsername": "alice",
+        "inbox": f"{BASE}/users/alice/inbox",
+    }
+    without_inbox = {k: v for k, v in person.items() if k != "inbox"}
+    for index, (embedded, reason) in enumerate(
+        [(person, "MissingKey"), (without_inbox, "MissingEndpoint")]
+    ):
+        follow = json.dumps(
+            {"type": "Follow", "id": f"http://b.test/follows/{index}",
+             "actor": "http://b.test/users/bob", "object": embedded}
+        )
+        response = signed_inbox_post(node, follow, BOB_KEY_ID, REMOTE_PRIVATE)
+        assert response.status == 400
+        assert body_json(response)["error"] == reason
+    assert node.store.all_tasks() == []
+
+
+def test_a_signed_post_for_another_host_is_refused_before_any_fetch(node):
+    install_remote(node.transport)
+    like = json.dumps(
+        {"type": "Like", "id": "http://b.test/act/like1",
+         "actor": "http://b.test/users/bob", "object": f"{BASE}/users/alice/statuses/1"}
+    )
+    response = signed_inbox_post(node, like, BOB_KEY_ID, REMOTE_PRIVATE, base="http://other.test")
+    assert response.status == 401
+    assert body_json(response) == {
+        "error": "BadSignature", "detail": "signed for other.test, not local.test"
+    }
+    assert node.transport.requests == []
+    # The host is compared without its case or port.
+    response = signed_inbox_post(node, like, BOB_KEY_ID, REMOTE_PRIVATE, base="http://LOCAL.test:80")
+    assert response.status == 202
+    assert body_json(response)["queued"] is True
 
 
 def test_unsupported_activity_kind_is_acknowledged_not_queued(node):

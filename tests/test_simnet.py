@@ -10,6 +10,7 @@ from mothfed.errors import (
     DuplicateDomain,
     ExpectationFailed,
     NotQuiescent,
+    TransportError,
 )
 from mothfed.simnet import START_TIME, ScenarioRunner, VirtualClock, VirtualNet
 
@@ -180,6 +181,15 @@ class TestFaults:
         assert task.result == "delivered: 200"
         assert task.attempts == 0
         assert not any("void" in text for text in home_texts(net, "b.test", "bob"))
+
+    def test_a_drop_with_a_delay_waits_then_fails_like_a_timeout(self):
+        net = federated_pair()
+        rule = net.inject_fault(behavior="drop", host="b.test", delay_ms=15000)
+        before = net.clock.now()
+        with pytest.raises(TransportError):
+            net.api("b.test", "GET", "/users/bob")
+        assert net.clock.now() == before + 15.0
+        assert net.log[-1].fault == f"drop#{rule}"
 
     def test_unknown_fault_behavior_rejected(self):
         net = VirtualNet()
@@ -359,3 +369,21 @@ class TestScenarios:
         runner = ScenarioRunner(VirtualNet())
         with pytest.raises(ExpectationFailed, match="step 0"):
             runner.run({"name": "bad", "steps": [{"op": "frobnicate"}]})
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            {"op": "post_status", "domain": "a.test", "username": "alice",
+             "text": "hush", "vsibility": "direct"},
+            {"op": "post_status", "domain": "a.test", "as": "alice", "text": "hush"},
+            {"op": "inject_fault", "id": "f", "behavior": "drop", "hostname": "b.test"},
+            {"op": "expect", "check": "log_count", "url_contain": "/inbox", "equals": 0},
+        ],
+        ids=["misspelled", "old name", "fault rule", "expect"],
+    )
+    def test_a_member_its_op_does_not_take_fails_the_step(self, step):
+        net = VirtualNet()
+        spawn = {"op": "spawn_instance", "domain": "a.test", "users": ["alice"]}
+        with pytest.raises(ExpectationFailed, match=r"bad step 1 \(\w+\): .*argument"):
+            ScenarioRunner(net).run({"name": "bad", "steps": [spawn, step]})
+        assert net.log == []

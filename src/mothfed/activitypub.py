@@ -209,14 +209,11 @@ def _activity_to_dict(activity: Activity) -> dict[str, Any]:
         data["to"] = list(activity.to)
     if activity.cc:
         data["cc"] = list(activity.cc)
-    if activity.object is not None:
-        data["object"] = object_member_to_dict(activity.object)
+    if isinstance(activity.object, str):
+        data["object"] = activity.object
+    elif activity.object is not None:
+        data["object"] = to_wire_dict(activity.object, with_context=False)
     return data
-
-
-def object_member_to_dict(obj: Union[str, Note, Actor]) -> Any:
-    """Wire form of an activity's object member (embedded, no own context)."""
-    return obj if isinstance(obj, str) else to_wire_dict(obj, with_context=False)
 
 
 def to_wire_dict(obj: ApObject, with_context: bool = True) -> dict[str, Any]:
@@ -346,7 +343,15 @@ def _object_member_from_wire(value: Any) -> Union[str, Note, Actor, None]:
     return None
 
 
-def activity_from_dict(data: dict[str, Any]) -> Activity:
+def parse_activity(text: str | bytes | dict[str, Any]) -> Activity:
+    """Parse an inbound activity, from its JSON text or its decoded object.
+
+    Unknown members are ignored; absent optionals stay absent. Raises
+    MissingRequiredField when the bare-minimum members (type, actor) are
+    missing, UnsupportedType for kinds outside the supported seven, and
+    MalformedDocument for non-object payloads.
+    """
+    data = text if isinstance(text, dict) else load_object(text)
     kind_name = type_name(data)
     if kind_name is None:
         raise MissingRequiredField("type")
@@ -367,17 +372,6 @@ def activity_from_dict(data: dict[str, Any]) -> Activity:
         cc=_uri_tuple(data.get("cc")),
         published=parse_timestamp(data.get("published")),
     )
-
-
-def parse_activity(text: str | bytes | dict[str, Any]) -> Activity:
-    """Parse an inbound activity, from its JSON text or its decoded object.
-
-    Unknown members are ignored; absent optionals stay absent. Raises
-    MissingRequiredField when the bare-minimum members (type, actor) are
-    missing, UnsupportedType for kinds outside the supported seven, and
-    MalformedDocument for non-object payloads.
-    """
-    return activity_from_dict(text if isinstance(text, dict) else load_object(text))
 
 
 def actor_from_dict(data: dict[str, Any]) -> Actor:

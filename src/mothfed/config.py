@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
 from .errors import ConfigError
+from .identity import valid_domain
 
 ENV_DOMAIN = "MOTH_DOMAIN"
 ENV_PORT = "MOTH_PORT"
@@ -34,9 +35,7 @@ class Config:
         return f"{scheme}://{self.domain}"
 
     def validate(self) -> "Config":
-        if not self.domain or not isinstance(self.domain, str):
-            raise ConfigError("domain must be a non-empty hostname")
-        if "/" in self.domain or " " in self.domain:
+        if not isinstance(self.domain, str) or not valid_domain(self.domain):
             raise ConfigError(f"domain {self.domain!r} is not a bare hostname")
         if not isinstance(self.port, int) or not 1 <= self.port <= 65535:
             raise ConfigError(f"port {self.port!r} out of range")
@@ -47,9 +46,6 @@ class Config:
         if self.key_bits < 512:
             raise ConfigError("key_bits too small for RSA")
         return self
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Config":

@@ -121,10 +121,11 @@ class FederationEngine:
 
     def _dispatch(self, activity: Activity, actor: Actor) -> list[str]:
         store = self.store
-        if activity.id is not None and not store.record_seen(activity.id):
-            return []
+        # Refused before it is marked seen, so a retry is refused too.
         if store.is_tombstoned(actor.id):
             raise TombstonedActor(actor.id)
+        if activity.id is not None and not store.record_seen(activity.id):
+            return []
 
         self.note_peer(actor.inbox)
 

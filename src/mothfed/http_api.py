@@ -135,9 +135,10 @@ class HttpApi:
 
     def _bearer_account(self, request: HttpRequest) -> Account:
         header = request.header("Authorization") or ""
-        account = None
+        store, account = self.node.store, None
         if header.startswith("Bearer "):
-            account = self.node.account_for_token(header[len("Bearer "):].strip())
+            account_id = store.account_id_for_token(header[len("Bearer "):].strip())
+            account = store.get_account(account_id) if account_id is not None else None
         if account is None:
             raise _Refused(401, "Unauthorized", "missing or invalid bearer token")
         return account

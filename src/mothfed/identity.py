@@ -70,6 +70,11 @@ def valid_username(name: str) -> bool:
     return bool(_USERNAME_RE.match(name))
 
 
+def valid_domain(domain: str) -> bool:
+    """A bare hostname: letter, digit and hyphen labels; no port, no underscore."""
+    return bool(_DOMAIN_RE.match(domain))
+
+
 @dataclass(frozen=True, eq=False)
 class AcctHandle:
     """A user@domain pair. Comparison and hashing are case-insensitive."""
@@ -124,7 +129,7 @@ def parse_acct(text: str, local_domain: str) -> AcctHandle:
     if not username or not valid_username(username):
         raise MalformedHandle(f"bad username in {text!r}")
     domain = domain.lower()
-    if not domain or not _DOMAIN_RE.match(domain):
+    if not valid_domain(domain):
         raise MalformedHandle(f"bad domain in {text!r}")
     if "." not in domain and domain != local_domain.lower():
         raise MalformedHandle(f"domain {domain!r} has no dot and is not local")

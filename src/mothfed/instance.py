@@ -81,14 +81,15 @@ class InstanceNode:
     def create_user(self, username: str, token: str | None = None) -> tuple[Account, str]:
         if not valid_username(username):
             raise InvalidName(username)
-        if self.store.get_local_account(username) is not None:
+        store, actor_uri = self.store, self.actor_uri_for(username)
+        # A deleted account's URI stays tombstoned, so its name is not issued again.
+        if store.get_local_account(username) is not None or store.is_tombstoned(actor_uri):
             raise NameTaken(username)
         private_pem, public_pem = generate_rsa_keypair(self.config.key_bits)
-        actor_uri = self.actor_uri_for(username)
         # secrets.token_hex, without its import of hmac and so of hashlib's OpenSSL.
         issued = token if token is not None else os.urandom(16).hex()
-        with self.store.transaction():
-            account = self.store.upsert_account(
+        with store.transaction():
+            account = store.upsert_account(
                 Account(
                     id=None,
                     username=username,
@@ -101,25 +102,9 @@ class InstanceNode:
                 )
             )
             assert account.id is not None
-            self.store.save_keypair(username, private_pem, public_pem)
-            self.store.save_token(account.id, issued)
+            store.save_keypair(username, private_pem, public_pem)
+            store.save_token(account.id, issued)
         return account, issued
-
-    def ensure_user(self, username: str, token: str | None = None) -> tuple[Account, str]:
-        """create_user, or the existing account with its stored token."""
-        existing = self.store.get_local_account(username)
-        if existing is None:
-            return self.create_user(username, token)
-        assert existing.id is not None
-        stored_token = self.store.token_for_account(existing.id)
-        if stored_token is None:
-            stored_token = token if token is not None else os.urandom(16).hex()
-            self.store.save_token(existing.id, stored_token)
-        return existing, stored_token
-
-    def account_for_token(self, token: str) -> Account | None:
-        account_id = self.store.account_id_for_token(token)
-        return self.store.get_account(account_id) if account_id is not None else None
 
     def delete_local_account(self, username: str) -> dict[str, int]:
         with self.store.transaction():
@@ -178,12 +163,6 @@ class InstanceNode:
 
     def process_deliveries(self) -> QueueReport:
         return self.engine.process_queue(self.clock(), self.transport)
-
-    def pending_deliveries(self) -> int:
-        return self.store.pending_count()
-
-    def next_pending_time(self) -> float | None:
-        return self.store.next_pending_time()
 
     def close(self) -> None:
         self.store.close()

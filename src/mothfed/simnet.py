@@ -10,6 +10,7 @@ from __future__ import annotations
 import inspect
 import json
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -18,6 +19,7 @@ from .config import Config
 from .errors import (
     DuplicateDomain,
     ExpectationFailed,
+    NameTaken,
     NotQuiescent,
     TransportError,
 )
@@ -147,7 +149,9 @@ class VirtualNet:
             clock=self.clock.now,
         )
         for username in users:
-            node.ensure_user(username, token=self._token_for(domain, username))
+            # A reopened store keeps its users, and a deleted user stays deleted.
+            with suppress(NameTaken):
+                node.create_user(username, token=self._token_for(domain, username))
         self.instances[domain] = node
         return node
 
@@ -166,16 +170,16 @@ class VirtualNet:
         return self._start_instance(domain, self._instance_users.get(domain, []))
 
     def node(self, domain: str) -> InstanceNode:
+        if domain not in self.instances:
+            raise ExpectationFailed(f"no instance {domain!r} is running")
         return self.instances[domain]
 
     def user_token(self, domain: str, username: str) -> str:
-        node = self.instances[domain]
-        account = node.store.get_local_account(username)
-        if account is None or account.id is None:
-            raise KeyError(f"no user {username} on {domain}")
-        token = node.store.token_for_account(account.id)
+        store = self.node(domain).store
+        account = store.get_local_account(username)
+        token = store.token_for_account(account.id) if account and account.id is not None else None
         if token is None:
-            raise KeyError(f"user {username} on {domain} has no token")
+            raise ExpectationFailed(f"no user {username!r} with a token on {domain}")
         return token
 
     # --- faults -----------------------------------------------------------------
@@ -272,7 +276,7 @@ class VirtualNet:
     # --- scheduling ------------------------------------------------------------------
 
     def pending_total(self) -> int:
-        return sum(node.pending_deliveries() for node in self.instances.values())
+        return sum(node.store.pending_count() for node in self.instances.values())
 
     def run_until_quiet(self, max_steps: int = 200) -> int:
         """Drive every delivery queue until nothing is pending.
@@ -294,7 +298,7 @@ class VirtualNet:
             due_times = [
                 t
                 for node in self.instances.values()
-                if (t := node.next_pending_time()) is not None
+                if (t := node.store.next_pending_time()) is not None
             ]
             if due_times:
                 self.clock.advance_to(min(due_times))
@@ -386,7 +390,7 @@ class VirtualNet:
         return json.loads(response.body)
 
     def delete_account(self, domain: str, username: str) -> dict[str, int]:
-        return self.instances[domain].delete_local_account(username)
+        return self.node(domain).delete_local_account(username)
 
     # --- log queries ------------------------------------------------------------------
 
@@ -487,6 +491,8 @@ class ScenarioRunner:
             self._fault_aliases[id] = rule_id
 
     def _remove_fault(self, id: str) -> None:
+        if id not in self._fault_aliases:
+            raise ExpectationFailed(f"no fault was injected with id {id!r}")
         self.net.remove_fault(self._fault_aliases.pop(id))
 
     def _mark_log(self) -> None:
@@ -501,6 +507,7 @@ class ScenarioRunner:
         net = self.net
         kind, _, outcome = check.partition("_timeline_")
         if kind in ("home", "tag") and outcome in ("contains", "absent"):
+            net.node(domain)  # the step fails unless domain runs an instance
             if kind == "home":
                 where, items = f"{user}@{domain} home timeline", net.home_timeline(domain, user)
             else:
@@ -510,6 +517,7 @@ class ScenarioRunner:
                 found = "contains" if hit else "lacks"
                 raise ExpectationFailed(f"{where} {found} {content_substring!r}")
         elif check == "account_absent":
+            net.node(domain)  # as above
             response = net.lookup(domain, acct)
             if response.status not in (404, 410):
                 raise ExpectationFailed(f"lookup {acct} on {domain} returned {response.status}")
@@ -535,9 +543,11 @@ class ScenarioRunner:
                             f"terminal task {task.task_id} on {name} has no recorded reason"
                         )
         elif check == "status_count":
-            store = net.instances[domain].store
+            store = net.node(domain).store
             account = store.get_local_account(user)
-            count = len(store.statuses_by_account(account.id)) if account is not None else 0
+            if account is None:
+                raise ExpectationFailed(f"no user {user!r} on {domain}")
+            count = len(store.statuses_by_account(account.id))
             if count != equals:
                 raise ExpectationFailed(f"{user}@{domain} has {count} statuses, wanted {equals}")
         else:

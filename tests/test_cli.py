@@ -1,4 +1,5 @@
 """CLI commands: config loading, probe walk, account management, serving."""
+import dataclasses
 import json
 import shutil
 import signal
@@ -47,7 +48,7 @@ def _free_port() -> int:
 class TestConfig:
     def test_dict_round_trip(self):
         config = Config(domain="x.test", port=8001, test_mode=True)
-        assert Config.from_dict(config.to_dict()) == config
+        assert Config.from_dict(dataclasses.asdict(config)) == config
 
     def test_env_beats_file_beats_defaults(self, tmp_path):
         path = tmp_path / "server.json"
@@ -115,6 +116,9 @@ class TestConfig:
             {"domain": ""},
             {"domain": "spaced out"},
             {"domain": "a/b"},
+            # The rule handles follow: parse_acct would refuse the server's own users.
+            {"domain": "a.test:8421"},
+            {"domain": "under_score.test"},
             {"port": 0},
             {"port": 70000},
             {"storage_backend": "redis"},
@@ -308,6 +312,17 @@ class TestMainCommands:
     def test_duplicate_username_exits_nonzero(self, tmp_path, capsys):
         base = ["--domain", "cli.test", "--store", f"file:{tmp_path / 'store'}"]
         assert main(base + ["user", "create", "alice"]) == 0
+        assert main(base + ["user", "create", "alice"]) == 1
+        assert "NameTaken" in capsys.readouterr().err
+
+    def test_user_create_refuses_the_name_of_a_deleted_account(self, tmp_path, capsys):
+        base = ["--domain", "cli.test", "--store", f"file:{tmp_path / 'store'}"]
+        assert main(base + ["user", "create", "alice"]) == 0
+        node = InstanceNode(
+            Config(domain="cli.test", storage_backend="file", storage_path=str(tmp_path / "store"))
+        )
+        node.delete_local_account("alice")
+        node.close()
         assert main(base + ["user", "create", "alice"]) == 1
         assert "NameTaken" in capsys.readouterr().err
 

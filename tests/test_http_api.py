@@ -20,6 +20,7 @@ from mothfed.activitypub import (
     validate_actor_document,
 )
 from mothfed.config import Config
+from mothfed.errors import NameTaken
 from mothfed.httpsig import generate_rsa_keypair, load_private_key, sign_request
 from mothfed.identity import AcctHandle, build_jrd
 from mothfed.instance import InstanceNode
@@ -230,6 +231,9 @@ def test_unknown_actor_is_404(node):
 
 def test_deleted_actor_is_410(node):
     node.delete_local_account("alice")
+    # Its URI stays tombstoned, so the name is not issued again.
+    with pytest.raises(NameTaken):
+        node.create_user("alice")
     response = get(node, "/users/alice")
     assert response.status == 410
     assert body_json(response)["error"] == "Gone"
@@ -544,9 +548,12 @@ def test_tombstoned_sender_is_403(node):
         }
     )
     assert signed_inbox_post(node, delete, BOB_KEY_ID, REMOTE_PRIVATE).status == 202
-    response = signed_inbox_post(node, bob_create(), BOB_KEY_ID, REMOTE_PRIVATE)
-    assert response.status == 403
-    assert body_json(response)["error"] == "TombstonedActor"
+    # The refusal does not mark the activity seen, so its retry is refused too.
+    for _ in range(2):
+        response = signed_inbox_post(node, bob_create(), BOB_KEY_ID, REMOTE_PRIVATE)
+        assert response.status == 403
+        assert body_json(response)["error"] == "TombstonedActor"
+    assert not node.store.has_seen("http://b.test/users/bob/statuses/1/activity")
 
 
 def test_only_an_honoured_self_delete_evicts_the_cached_signer(node):
@@ -799,7 +806,7 @@ def test_post_status_resolves_remote_mentions_and_fans_out(node):
         {"acct": "bob@b.test", "url": "http://b.test/users/bob"}
     ]
     assert "warnings" not in data
-    assert node.pending_deliveries() == 1
+    assert node.store.pending_count() == 1
     task = node.store.all_tasks()[0]
     assert task.target_inbox == "http://b.test/users/bob/inbox"
     activity = parse_activity(task.activity_body)
@@ -812,7 +819,7 @@ def test_post_status_reports_unresolvable_mentions_as_warnings(node):
     data = body_json(response)
     assert data["mentions"] == []
     assert len(data["warnings"]) == 2
-    assert node.pending_deliveries() == 0
+    assert node.store.pending_count() == 0
 
 
 def test_direct_status_to_a_resolvable_mention_is_allowed(node):
@@ -822,7 +829,7 @@ def test_direct_status_to_a_resolvable_mention_is_allowed(node):
     )
     assert response.status == 200
     assert body_json(response)["visibility"] == "direct"
-    assert node.pending_deliveries() == 1
+    assert node.store.pending_count() == 1
 
 
 # --- timelines -------------------------------------------------------------------------------
@@ -887,7 +894,7 @@ def test_follow_local_account_is_immediate(node):
     assert body_json(response) == {
         "id": str(dave.id), "following": True, "requested": False
     }
-    assert node.pending_deliveries() == 0
+    assert node.store.pending_count() == 0
 
     repeat = api_post(node, f"/api/v1/accounts/{dave.id}/follow", {})
     assert body_json(repeat)["following"] is True
@@ -900,7 +907,7 @@ def test_follow_remote_account_enqueues_a_follow_activity(node):
     assert body_json(response) == {
         "id": looked_up["id"], "following": False, "requested": True
     }
-    assert node.pending_deliveries() == 1
+    assert node.store.pending_count() == 1
     task = node.store.all_tasks()[0]
     activity = parse_activity(task.activity_body)
     assert activity.kind.value == "Follow"
@@ -908,7 +915,7 @@ def test_follow_remote_account_enqueues_a_follow_activity(node):
 
     # Asking again must not queue a second Follow.
     api_post(node, f"/api/v1/accounts/{looked_up['id']}/follow", {})
-    assert node.pending_deliveries() == 1
+    assert node.store.pending_count() == 1
     assert node.store.list_peers() == [("b.test", "http://b.test/users/bob/inbox")]
 
 
@@ -932,7 +939,7 @@ def test_concurrent_follow_requests_queue_one_follow(node, monkeypatch):
     for thread in threads:
         thread.join(timeout=30)
     assert not any(thread.is_alive() for thread in threads)
-    assert node.pending_deliveries() == 1
+    assert node.store.pending_count() == 1
 
 
 def test_follow_error_modes(node):

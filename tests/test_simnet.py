@@ -262,6 +262,15 @@ class TestKillRespawn:
         )
 
 
+    def test_respawn_does_not_create_a_deleted_user_again(self, tmp_path):
+        net = VirtualNet(seed=9, backend="file", storage_root=str(tmp_path))
+        net.spawn_instance("a.test", ["alice"])
+        net.delete_account("a.test", "alice")
+        net.kill_instance("a.test")
+        net.respawn_instance("a.test")
+        assert net.lookup("a.test", "alice").status in (404, 410)
+
+
 def scripted_run(seed: int) -> bytes:
     net = VirtualNet(seed=seed)
     net.spawn_instance("a.test", ["alice"])
@@ -369,6 +378,23 @@ class TestScenarios:
         runner = ScenarioRunner(VirtualNet())
         with pytest.raises(ExpectationFailed, match="step 0"):
             runner.run({"name": "bad", "steps": [{"op": "frobnicate"}]})
+
+    @pytest.mark.parametrize(
+        "step, reason",
+        [
+            ({"op": "remove_fault", "id": "nope"}, "no fault was injected with id 'nope'"),
+            ({"op": "expect", "check": "status_count", "user": "alice", "equals": 0},
+             "no instance '' is running"),
+            ({"op": "expect", "check": "home_timeline_contains", "domain": "a.test",
+              "content_substring": "hi"}, "no user '' with a token on a.test"),
+        ],
+        ids=["fault alias", "status_count without domain", "home timeline without user"],
+    )
+    def test_a_member_naming_nothing_fails_the_step(self, step, reason):
+        spawn = {"op": "spawn_instance", "domain": "a.test", "users": ["alice"]}
+        with pytest.raises(ExpectationFailed, match=r"bad step 1 \(\w+\): ") as failed:
+            ScenarioRunner(VirtualNet()).run({"name": "bad", "steps": [spawn, step]})
+        assert str(failed.value).endswith(reason)
 
     @pytest.mark.parametrize(
         "step",

@@ -55,6 +55,8 @@ from .transport import HttpRequest, HttpResponse
 
 JSON_MEDIA_TYPE = "application/json"
 HTML_MEDIA_TYPE = "text/html; charset=utf-8"
+# The answer to a repeated inbox delivery, encoded once.
+_REPEAT_BODY = json.dumps({"queued": True, "warnings": []}).encode("utf-8")
 
 
 def _json_response(status: int, payload: Any, media_type: str = JSON_MEDIA_TYPE) -> HttpResponse:
@@ -80,6 +82,7 @@ class _Refused(Exception):
 class HttpApi:
     def __init__(self, node) -> None:
         self.node = node
+        self._host = uri_host(node.base_url)  # the host every inbox POST must name
 
     # --- dispatch ---------------------------------------------------------------
 
@@ -232,9 +235,8 @@ class HttpApi:
         self._local_account(name)
         # Checked before the signature, so a delivery meant for another
         # server costs no actor fetch.
-        here = uri_host(self.node.base_url)
-        if request.host != here:
-            raise _Refused(401, "BadSignature", f"signed for {request.host}, not {here}")
+        if request.host != self._host:
+            raise _Refused(401, "BadSignature", f"signed for {request.host}, not {self._host}")
         try:
             verified = self._verify(request)
         except SignatureError as exc:
@@ -250,7 +252,7 @@ class HttpApi:
                 and self.node.store.has_seen(activity_id)
             ):
                 # A repeat: handle_inbox would parse it only for record_seen to drop it.
-                return _json_response(202, {"queued": True, "warnings": []})
+                return HttpResponse(202, {"Content-Type": JSON_MEDIA_TYPE}, _REPEAT_BODY)
             activity = parse_activity(data)
         except MissingRequiredField as exc:
             raise _Refused(400, exc.reason, f"missing required field: {exc}") from exc
@@ -289,13 +291,8 @@ class HttpApi:
             return node.fetch_actor(uri, refresh=True) if uri in cached else None
 
         return verify_signature(
-            method=request.method,
-            target=request.target,
-            headers=request.headers,
-            body=request.body,
-            actor_fetch=fetch,
-            now=node.now_dt(),
-            actor_refetch=refetch,
+            request.method, request.target, request.headers, request.body, fetch, node.now_dt(),
+            refetch,
         )
 
     def _outbox(self, name: str) -> HttpResponse:

@@ -36,6 +36,10 @@ ALGORITHM = "rsa-sha256"
 SIGNED_HEADERS = ("(request-target)", "host", "date", "digest")
 # Largest accepted distance, in seconds, between a request's Date and now.
 SKEW_SECONDS = 300.0
+_MONTHS = dict(zip("Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split(), range(1, 13)))
+_IMF_FIXDATE = re.compile(
+    r"[A-Z][a-z]{2}, ([0-9]{2}) ([A-Z][a-z]{2}) ([0-9]{4}) ([0-9]{2}):([0-9]{2}):([0-9]{2}) GMT"
+)
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,7 @@ _PARAM_RE = re.compile(r'([A-Za-z]+)="([^"]*)"')
 
 
 def parse_signature_header(value: str) -> SignatureParams:
-    fields = {m.group(1).lower(): m.group(2) for m in _PARAM_RE.finditer(value)}
+    fields = {name.lower(): text for name, text in _PARAM_RE.findall(value)}
     key_id = fields.get("keyid")
     signature = fields.get("signature")
     if not key_id or not signature:
@@ -176,11 +180,9 @@ def verify_signature(
     if not date_text:
         raise StaleDate("request has no Date header")
     try:
-        request_time = parsedate_to_datetime(date_text)
+        request_time = _parse_http_date(date_text)
     except (TypeError, ValueError) as exc:
         raise StaleDate(f"unparseable Date header: {date_text!r}") from exc
-    if request_time.tzinfo is None:
-        request_time = request_time.replace(tzinfo=timezone.utc)
     offset = abs((now.astimezone(timezone.utc) - request_time).total_seconds())
     if offset > SKEW_SECONDS:
         raise StaleDate(f"Date is {offset:.0f}s from now (window {SKEW_SECONDS:.0f}s)")
@@ -191,7 +193,7 @@ def verify_signature(
     if claimed_digest.strip() != body_digest(body):
         raise DigestMismatch("body does not match the Digest header")
 
-    missing = ", ".join(sorted(set(SIGNED_HEADERS) - set(params.headers)))
+    missing = ", ".join([name for name in sorted(SIGNED_HEADERS) if name not in params.headers])
     if missing:
         raise BadSignature(f"signature does not cover required headers: {missing}")
 
@@ -211,6 +213,18 @@ def verify_signature(
     if fresher is not None and _key_verifies(fresher, params.signature, message):
         return fresher
     raise BadSignature("signature does not verify against the actor's key")
+
+
+def _parse_http_date(text: str) -> datetime:
+    """A Date header in UTC: the IMF-fixdate signers send (RFC 9110 section
+    5.6.7) is read here, and any other form by email.utils."""
+    fixed = _IMF_FIXDATE.fullmatch(text)
+    if fixed is not None and fixed[2] in _MONTHS:
+        day, year, hour, minute, second = map(int, fixed.group(1, 3, 4, 5, 6))
+        # Out of range (31 Feb, say) raises ValueError, as email.utils does.
+        return datetime(year, _MONTHS[fixed[2]], day, hour, minute, second, tzinfo=timezone.utc)
+    parsed = parsedate_to_datetime(text)
+    return parsed if parsed.tzinfo is not None else parsed.replace(tzinfo=timezone.utc)
 
 
 def _key_verifies(actor: Actor, signature: str, message: bytes) -> bool:

@@ -1,9 +1,10 @@
 """In-process multi-instance federation harness over a virtual transport.
 
-Instances talk HTTP to each other through VirtualNet.route, which serializes
-real requests (headers, signatures, bodies) but never touches a socket. Time
-is a virtual clock, so retry backoff runs in microseconds of wall time and a
-fixed seed makes whole scenario runs byte-reproducible.
+Instances talk HTTP to each other through VirtualNet.route, which hands each
+real request (headers, signature, body) to the receiver as its sender built
+it, but never touches a socket. Time is a virtual clock, so retry backoff runs
+in microseconds of wall time and a fixed seed makes whole scenario runs
+byte-reproducible.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import inspect
 import json
 import sys
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -22,6 +23,7 @@ from .errors import (
     NameTaken,
     NotQuiescent,
     TransportError,
+    UnknownUser,
 )
 from .httpsig import sha256
 from .instance import InstanceNode
@@ -78,15 +80,6 @@ class LogEntry:
     url: str
     status: int | None
     fault: str | None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "from": self.from_domain,
-            "method": self.method,
-            "url": self.url,
-            "status": self.status,
-            "fault": self.fault,
-        }
 
 
 class VirtualTransport(Transport):
@@ -248,30 +241,25 @@ class VirtualNet:
         if node is None:
             self._log(from_domain, request, None, fault_label)
             raise TransportError(f"no instance serves {request.host}")
-        headers = dict(request.headers)
-        headers.setdefault("Host", request.authority)
-        response = node.handle_http(replace(request, headers=headers))
+        # Forwarded as sent: its sender set Host, as an HTTP client does.
+        response = node.handle_http(request)
         self._log(from_domain, request, response.status, fault_label)
         return response
 
     def _log(
         self, from_domain: str, request: HttpRequest, status: int | None, fault: str | None
     ) -> None:
-        self.log.append(
-            LogEntry(
-                from_domain=from_domain,
-                # One shared string per method, not a fresh copy per entry.
-                method=sys.intern(request.method.upper()),
-                url=request.url,
-                status=status,
-                fault=fault,
-            )
-        )
+        # One shared string per method, not a fresh copy per entry.
+        method = sys.intern(request.method.upper())
+        self.log.append(LogEntry(from_domain, method, request.url, status, fault))
 
     def log_json(self) -> bytes:
-        return json.dumps(
-            [entry.to_dict() for entry in self.log], sort_keys=True
-        ).encode("utf-8")
+        entries = [
+            {"from": e.from_domain, "method": e.method, "url": e.url, "status": e.status,
+             "fault": e.fault}
+            for e in self.log
+        ]
+        return json.dumps(entries, sort_keys=True).encode("utf-8")
 
     # --- scheduling ------------------------------------------------------------------
 
@@ -316,7 +304,8 @@ class VirtualNet:
         token: str | None = None,
         body: dict[str, Any] | None = None,
     ) -> HttpResponse:
-        headers: dict[str, str] = {"Accept": "application/json"}
+        self.node(domain)  # ExpectationFailed, not route's TransportError, for no instance
+        headers = {"Host": domain, "Accept": "application/json"}
         if token is not None:
             headers["Authorization"] = f"Bearer {token}"
         data = b""
@@ -390,7 +379,10 @@ class VirtualNet:
         return json.loads(response.body)
 
     def delete_account(self, domain: str, username: str) -> dict[str, int]:
-        return self.node(domain).delete_local_account(username)
+        try:
+            return self.node(domain).delete_local_account(username)
+        except UnknownUser:
+            raise ExpectationFailed(f"no user {username!r} on {domain}") from None
 
     # --- log queries ------------------------------------------------------------------
 
@@ -401,16 +393,13 @@ class VirtualNet:
         status: int | None = None,
         start: int = 0,
     ) -> list[LogEntry]:
-        found = []
-        for entry in self.log[start:]:
-            if method is not None and entry.method != method.upper():
-                continue
-            if url_contains is not None and url_contains not in entry.url:
-                continue
-            if status is not None and entry.status != status:
-                continue
-            found.append(entry)
-        return found
+        return [
+            e
+            for e in self.log[start:]
+            if (method is None or e.method == method.upper())
+            and (url_contains is None or url_contains in e.url)
+            and (status is None or e.status == status)
+        ]
 
     def outbox_gets(self) -> list[LogEntry]:
         return [
@@ -507,7 +496,6 @@ class ScenarioRunner:
         net = self.net
         kind, _, outcome = check.partition("_timeline_")
         if kind in ("home", "tag") and outcome in ("contains", "absent"):
-            net.node(domain)  # the step fails unless domain runs an instance
             if kind == "home":
                 where, items = f"{user}@{domain} home timeline", net.home_timeline(domain, user)
             else:
@@ -517,7 +505,6 @@ class ScenarioRunner:
                 found = "contains" if hit else "lacks"
                 raise ExpectationFailed(f"{where} {found} {content_substring!r}")
         elif check == "account_absent":
-            net.node(domain)  # as above
             response = net.lookup(domain, acct)
             if response.status not in (404, 410):
                 raise ExpectationFailed(f"lookup {acct} on {domain} returned {response.status}")

@@ -113,7 +113,8 @@ class MemoryStore:
         self._status_by_uri: dict[str, int] = {}
         # Ordered indexes, each an ascending id list kept by _put_id/_take_id:
         # tag -> status ids, author -> status ids, home timeline owner ->
-        # status ids, followee -> follow ids, and follower URI -> follow ids.
+        # status ids, followee -> follow ids, follower URI -> follow ids, and
+        # actor URI or object URI -> interaction ids.
         self._tag_index: dict[str, list[int]] = {}
         self._statuses_of: dict[int, list[int]] = {}
         self._timelines: dict[int, list[int]] = {}
@@ -125,6 +126,8 @@ class MemoryStore:
         self._interactions: dict[int, Interaction] = {}
         self._interaction_by_key: dict[tuple[str, str, str], int] = {}
         self._interaction_by_activity: dict[str, int] = {}
+        self._interactions_by: dict[str, list[int]] = {}
+        self._interactions_on: dict[str, list[int]] = {}
         self._peers: dict[str, str] = {}
         self._seen: set[str] = set()
         self._tombstones: set[str] = set()
@@ -485,12 +488,12 @@ class MemoryStore:
                 self._write("follows", relation.id, None)
             report["follows"] = len(dead_follows)
 
-            dead_status_uris = {s.uri for s in dead_statuses if s.uri}
-            dead_interactions = [
-                i
-                for i in self._interactions.values()
-                if i.actor_uri == actor_uri or i.object_uri in dead_status_uris
-            ]
+            # Theirs, and everyone's on their statuses: two index reads, no scan.
+            interaction_ids = set(self._interactions_by.get(actor_uri, ()))
+            for status in dead_statuses:
+                if status.uri:
+                    interaction_ids.update(self._interactions_on.get(status.uri, ()))
+            dead_interactions = [self._interactions[i] for i in sorted(interaction_ids)]
             for item in dead_interactions:
                 self._unindex_interaction(item)
                 self._write("interactions", item.id, None)
@@ -599,11 +602,15 @@ class MemoryStore:
         self._interaction_by_key[(item.kind, item.actor_uri, item.object_uri)] = item.id
         if item.activity_id:
             self._interaction_by_activity[item.activity_id] = item.id
+        _put_id(self._interactions_by, item.actor_uri, item.id)
+        _put_id(self._interactions_on, item.object_uri, item.id)
 
     def _unindex_interaction(self, item: Interaction) -> None:
         del self._interactions[item.id]
         self._interaction_by_key.pop((item.kind, item.actor_uri, item.object_uri), None)
         self._interaction_by_activity.pop(item.activity_id, None)
+        _take_id(self._interactions_by, item.actor_uri, item.id)
+        _take_id(self._interactions_on, item.object_uri, item.id)
 
     def _index_task(self, task: DeliveryTask) -> None:
         if task.terminal:

@@ -33,7 +33,9 @@ class HttpRequest:
         self.path = parts.path or "/"
         # RFC 9112 section 3.2.1: an empty path is sent as "/".
         self.target = f"{self.path}?{parts.query}" if parts.query else self.path
-        self.query = {k: v[0] for k, v in parse_qs(parts.query, keep_blank_values=True).items()}
+        # Most requests, every inbox POST among them, have no query to parse.
+        pairs = parse_qs(parts.query, keep_blank_values=True) if parts.query else {}
+        self.query = {k: v[0] for k, v in pairs.items()}
 
     def header(self, name: str) -> str | None:
         wanted = name.lower()

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime, parsedate_to_datetime
 
 import pytest
 
@@ -445,6 +446,34 @@ def test_stale_date_is_401_with_reason(node):
     response = signed_inbox_post(node, bob_create(), BOB_KEY_ID, REMOTE_PRIVATE, date=old)
     assert response.status == 401
     assert body_json(response)["error"] == "StaleDate"
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        "%a, %d %b %Y %H:%M:%S GMT",  # IMF-fixdate, as sign_request writes it
+        "%A, %d-%b-%y %H:%M:%S GMT",  # RFC 850
+        "%a %b %d %H:%M:%S %Y",  # asctime, which names no zone
+        "%a, %d %b %Y %H:%M:%S +0000",
+    ],
+)
+def test_every_http_date_form_is_accepted(node, monkeypatch, form):
+    install_remote(node.transport)
+    monkeypatch.setattr(httpsig, "format_datetime", lambda when, usegmt: when.strftime(form))
+    response = signed_inbox_post(node, bob_create(), BOB_KEY_ID, REMOTE_PRIVATE)
+    assert response.status == 202, body_json(response)
+
+
+def test_an_imf_fixdate_reads_as_email_utils_reads_it():
+    texts = [
+        format_datetime(datetime.fromtimestamp(seconds, tz=timezone.utc), usegmt=True)
+        for seconds in range(0, 4_000_000_000, 9_876_543)
+    ]
+    for text in texts + ["Tue, 20 Oct 2026 02:19 GMT", "Tue, 20 Oct 26 02:19:32 GMT"]:
+        assert httpsig._parse_http_date(text) == parsedate_to_datetime(text), text
+    for text in ("Tue, 31 Feb 2026 00:00:00 GMT", "Tue, 20 Foo 2026 02:19:32 GMT", "soon"):
+        with pytest.raises(ValueError):
+            httpsig._parse_http_date(text)
 
 
 def test_tampered_body_is_401_digest_mismatch(node):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from mothfed import activitypub, identity, transport
 from mothfed.errors import (
     DuplicateDomain,
     ExpectationFailed,
@@ -88,6 +89,78 @@ class TestWorldBasics:
         for entry in net.log:
             assert methods.setdefault(entry.method, entry.method) is entry.method
         assert sorted(methods) == ["GET", "POST"]
+
+
+class TestRouting:
+    """A request reaches its receiver as its sender built it."""
+
+    @staticmethod
+    def fan_out_world() -> VirtualNet:
+        net = VirtualNet(seed=7)
+        net.spawn_instance("a.test", ["alice"])
+        for peer in range(4):
+            domain = f"p{peer}.test"
+            net.spawn_instance(domain, [f"u{i}" for i in range(4)])
+            for i in range(4):
+                net.follow(domain, f"u{i}", "alice@a.test")
+        net.run_until_quiet()
+        return net
+
+    @staticmethod
+    def received(net: VirtualNet, monkeypatch) -> list:
+        """Every request the instances are handed from now on."""
+        seen = []
+        for node in net.instances.values():
+            def handle(request, original=node.handle_http):
+                seen.append(request)
+                return original(request)
+            monkeypatch.setattr(node, "handle_http", handle)
+        return seen
+
+    def test_one_posts_sixteen_deliveries_split_urls_at_most_40_times(self, monkeypatch):
+        net = self.fan_out_world()
+        net.post_status("a.test", "alice", "hello #moths")
+        splits = []
+        for module in (transport, activitypub, identity):
+            def counted(url, *args, original=module.urlsplit, **kwargs):
+                splits.append(url)
+                return original(url, *args, **kwargs)
+            monkeypatch.setattr(module, "urlsplit", counted)
+        mark = len(net.log)
+        net.run_until_quiet()
+        inbox_posts = net.log_entries(method="POST", url_contains="/inbox", start=mark)
+        assert [e.status for e in inbox_posts] == [202] * 16
+        # The signer and the queue each split the inbox URL; routing adds no split,
+        # and the receiver splits nothing it knew before the request came.
+        assert len(splits) <= 40
+
+    def test_a_signed_request_arrives_with_one_host_and_leaves_its_headers_alone(
+        self, monkeypatch
+    ):
+        net = federated_pair()
+        net.follow("b.test", "bob", "alice@a.test")
+        received = self.received(net, monkeypatch)
+        sent = []
+        sender = net.node("a.test").transport
+
+        def keep(request, original=sender.request):
+            sent.append((request, dict(request.headers)))
+            return original(request)
+
+        monkeypatch.setattr(sender, "request", keep)
+        net.run_until_quiet()  # the Accept, signed by a.test
+        ((request, headers_before),) = [(r, h) for r, h in sent if r.method == "POST"]
+        assert request.headers == headers_before
+        # Forwarded as sent: the receiver is handed the sender's own request.
+        assert any(r is request for r in received)
+        hosts = [v for k, v in request.headers.items() if k.lower() == "host"]
+        assert hosts == ["b.test"]
+
+    def test_a_client_request_names_its_host(self, monkeypatch):
+        net = federated_pair()
+        received = self.received(net, monkeypatch)
+        assert net.lookup("a.test", "alice@a.test").status == 200
+        assert [r.headers.get("Host") for r in received] == ["a.test"]
 
 
 class TestFaults:
@@ -387,8 +460,13 @@ class TestScenarios:
              "no instance '' is running"),
             ({"op": "expect", "check": "home_timeline_contains", "domain": "a.test",
               "content_substring": "hi"}, "no user '' with a token on a.test"),
+            ({"op": "lookup", "domain": "zz.test", "acct": "alice@a.test"},
+             "no instance 'zz.test' is running"),
+            ({"op": "delete_account", "domain": "a.test", "username": "nobody"},
+             "no user 'nobody' on a.test"),
         ],
-        ids=["fault alias", "status_count without domain", "home timeline without user"],
+        ids=["fault alias", "status_count without domain", "home timeline without user",
+             "lookup on no instance", "delete of no user"],
     )
     def test_a_member_naming_nothing_fails_the_step(self, step, reason):
         spawn = {"op": "spawn_instance", "domain": "a.test", "users": ["alice"]}

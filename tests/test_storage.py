@@ -473,6 +473,74 @@ def test_delete_unknown_account_still_tombstones(store):
     assert store.is_tombstoned("https://ghost.test/users/ghost")
 
 
+def test_delete_account_data_removes_the_interactions_a_scan_finds(store):
+    rng = random.Random(5)
+    people = [store.upsert_account(account(f"p{i}")) for i in range(4)]
+    statuses = [store.store_status(status(p, n)) for n, p in enumerate(people * 3)]
+    for n in range(60):
+        store.record_interaction(
+            rng.choice(("Like", "Announce")), rng.choice(people).actor_uri,
+            rng.choice(statuses).uri, f"https://x/i{n}", 0.0,
+        )
+    victim = people[1]
+    dead_uris = {s.uri for s in statuses if s.account_id == victim.id}
+    before = set(store._interactions)
+    scanned = {
+        i.id for i in store._interactions.values()
+        if i.actor_uri == victim.actor_uri or i.object_uri in dead_uris
+    }
+    report = store.delete_account_data(victim.actor_uri)
+    assert 0 < len(scanned) < len(before)
+    assert report["interactions"] == len(scanned)
+    assert set(store._interactions) == before - scanned
+
+
+def test_interaction_indexes_are_rebuilt_on_reopen(tmp_path):
+    live = FileStore(tmp_path / "store")
+    alice, bob, (s1, s2, s3) = seed_deletable_world(live)
+    carol = live.upsert_account(account("carol"))
+    c1 = live.store_status(status(carol, 4))
+    live.record_interaction("Announce", bob.actor_uri, c1.uri, "https://x/a1", 0.0)
+    live.record_interaction("Like", carol.actor_uri, s3.uri, "https://x/l3", 0.0)
+    assert live.remove_interaction_by_activity("https://x/l2") is not None
+    live.delete_account_data(carol.actor_uri)
+    reopened = FileStore(tmp_path / "store")
+    # Only bob's like of s1 is left, and no emptied list stays behind.
+    kept = live.find_interaction_by_activity("https://x/l1").id
+    assert live._interactions_by == {bob.actor_uri: [kept]}
+    assert live._interactions_on == {s1.uri: [kept]}
+    assert reopened._interactions_by == live._interactions_by
+    assert reopened._interactions_on == live._interactions_on
+    reopened.close()
+    live.close()
+
+
+def test_a_delete_costs_the_same_however_many_interactions_the_store_holds():
+    def fastest_delete(interactions):
+        store = MemoryStore()
+        others = [store.upsert_account(account(f"o{i}", domain="o.test")) for i in range(10)]
+        for n in range(interactions):
+            store.record_interaction(
+                "Like", others[n % 10].actor_uri, f"https://o.test/s/{n}",
+                f"https://o.test/l/{n}", 0.0,
+            )
+        timings = []
+        for victim in [store.upsert_account(account(f"v{i}")) for i in range(5)]:
+            mine = store.store_status(status(victim, 1))
+            store.record_interaction("Like", others[0].actor_uri, mine.uri, f"{mine.uri}/l", 0.0)
+            store.record_interaction("Like", victim.actor_uri, "https://o.test/s/0",
+                                     f"{victim.actor_uri}/l", 0.0)
+            start = time.perf_counter()
+            report = store.delete_account_data(victim.actor_uri)
+            timings.append(time.perf_counter() - start)
+            assert report["interactions"] == 2
+        return min(timings)
+
+    small, large = fastest_delete(10**3), fastest_delete(10**5)
+    # A scan of every interaction makes the ratio about a hundred.
+    assert large / small <= 10, (small, large)
+
+
 def test_deleted_actor_cannot_be_reinserted_via_status(store):
     alice, _, _ = seed_deletable_world(store)
     store.delete_account_data(alice.actor_uri)

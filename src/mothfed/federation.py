@@ -167,31 +167,8 @@ class FederationEngine:
             stored = store.store_status(status)
         except DuplicateUri:
             return [f"status {status.uri} already stored"]
-        self.local_fan_in(stored, sender)
+        self.fan_out(stored, sender)
         return warnings
-
-    def _audience(self, status: Status, author: Account) -> list[Account]:
-        """The known accounts a status reaches, once each and in this order:
-        the author, the author's accepted followers unless the status is
-        direct, and each account it mentions."""
-        store = self.store
-        uris = []
-        if status.visibility is not Visibility.DIRECT:
-            uris = [r.follower_actor_uri for r in store.followers_of(author.id, state="accepted")]
-        uris += [m.actor_uri for m in status.mentions]
-        audience = {author.actor_uri: author}
-        for uri in uris:
-            if uri not in audience and (account := store.get_account_by_uri(uri)) is not None:
-                audience[uri] = account
-        return list(audience.values())
-
-    def local_fan_in(self, status: Status, author: Account) -> None:
-        """Insert a stored status into the home timeline of each local account
-        in its audience; a remote author's own is not kept here."""
-        assert status.id is not None
-        for owner in self._audience(status, author):
-            if not owner.is_remote:
-                self.store.insert_timeline_entry(owner.id, status.id, self.clock())
 
     def _handle_follow(self, activity: Activity, actor: Actor) -> list[str]:
         store = self.store
@@ -320,12 +297,34 @@ class FederationEngine:
             published=status.created_at,
         )
 
+    def _audience(self, status: Status, author: Account) -> list[Account]:
+        """The known accounts a status reaches, once each and in this order:
+        the author, the author's accepted followers unless the status is
+        direct, and each account it mentions."""
+        store = self.store
+        uris = []
+        if status.visibility is not Visibility.DIRECT:
+            uris = [r.follower_actor_uri for r in store.followers_of(author.id, state="accepted")]
+        uris += [m.actor_uri for m in status.mentions]
+        audience = {author.actor_uri: author}
+        for uri in uris:
+            if uri not in audience and (account := store.get_account_by_uri(uri)) is not None:
+                audience[uri] = account
+        return list(audience.values())
+
     def fan_out(self, status: Status, author: Account) -> list[DeliveryTask]:
-        """Delivery tasks for a freshly stored local status: one per inbox of
-        a remote account in its audience."""
-        activity = self.create_activity(status, author)
+        """Take a freshly stored status to its audience: a home-timeline row for
+        each local account in it and, for a local author only (a remote one's
+        own server delivers), one delivery task per inbox of a remote account."""
+        assert status.id is not None
         audience = self._audience(status, author)
+        for owner in audience:
+            if not owner.is_remote:
+                self.store.insert_timeline_entry(owner.id, status.id, self.clock())
+        if author.is_remote:
+            return []
         inboxes = dict.fromkeys(a.inbox_uri for a in audience if a.is_remote)
+        activity = self.create_activity(status, author)
         return self.enqueue(activity, signer=author, inboxes=list(inboxes))
 
     def propagate_delete(self, account: Account) -> list[DeliveryTask]:

@@ -28,7 +28,6 @@ from .activitypub import (
     uri_host,
 )
 from .errors import (
-    ActorFetchFailed,
     ActorMismatch,
     MalformedDocument,
     MalformedHandle,
@@ -398,7 +397,6 @@ class HttpApi:
                     in_reply_to_id=in_reply_to_id,
                 )
             )
-            self.node.engine.local_fan_in(stored, author)
             self.node.engine.fan_out(stored, author)
 
         rendered = self._render_status(stored)
@@ -424,7 +422,7 @@ class HttpApi:
             else:
                 try:
                     remote = self.node.resolve_account(handle)
-                except (ResolutionFailed, ActorFetchFailed) as exc:
+                except ResolutionFailed as exc:
                     warnings.append(f"{handle}: {exc}")
                     continue
                 mentions.append(Mention(acct=remote.acct, actor_uri=remote.actor_uri))
@@ -499,6 +497,6 @@ class HttpApi:
         else:
             try:
                 account = self.node.resolve_account(handle)
-            except (ResolutionFailed, ActorFetchFailed) as exc:
+            except ResolutionFailed as exc:
                 raise _Refused(404, exc.reason, str(exc)) from exc
         return _json_response(200, self._render_account(account))

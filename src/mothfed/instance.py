@@ -25,7 +25,7 @@ from .identity import (
     fetch_actor_document,
     valid_username,
 )
-from .mastodon import Account, account_to_actor, actor_to_account
+from .mastodon import Account, actor_to_account
 from .storage import MemoryStore, open_store
 from .transport import HttpRequest, HttpResponse, Transport, UrllibTransport
 
@@ -125,17 +125,14 @@ class InstanceNode:
         return self._actor_cache.get(actor_uri.split("#", 1)[0])
 
     def fetch_actor(self, actor_uri: str, refresh: bool = False) -> Actor:
-        """Actor document for a URI, via cache (unless refresh), local store, or the network."""
+        """A remote actor's document, via cache (unless refresh) or the network;
+        a URI on this server's own host raises ActorFetchFailed: no local actor is fetched."""
         uri = actor_uri.split("#", 1)[0]
         cached = None if refresh else self._actor_cache.get(uri)
         if cached is not None:
             return cached
         if uri_host(uri).lower() == self.domain.lower():
-            account = self.store.get_account_by_uri(uri)
-            if account is None or account.is_remote:
-                raise ActorFetchFailed(f"no local actor at {uri}")
-            return account_to_actor(account, self.base_url)
-
+            raise ActorFetchFailed(f"{uri} is a local actor, not fetched")
         actor = actor_from_document(fetch_actor_document(self.transport, uri), uri)
         self._actor_cache.put(uri, actor)
         return actor

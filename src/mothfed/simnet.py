@@ -496,6 +496,9 @@ class ScenarioRunner:
         net = self.net
         kind, _, outcome = check.partition("_timeline_")
         if kind in ("home", "tag") and outcome in ("contains", "absent"):
+            # An empty substring is in every item: the check would test nothing.
+            if not content_substring:
+                raise ExpectationFailed(f"{check} needs a non-empty content_substring")
             if kind == "home":
                 where, items = f"{user}@{domain} home timeline", net.home_timeline(domain, user)
             else:

@@ -469,13 +469,16 @@ class MemoryStore:
                 self._write("statuses", status.id, None)
             report["statuses"] = len(dead_statuses)
 
-            # Their own timeline, plus their statuses in everyone else's.
+            # Their own timeline, plus their statuses where fan_out put them: their
+            # followers' timelines and those of each status's mentions, not every one.
             own = [(account_id, i) for i in self._timelines.pop(account_id, [])]
+            followers = [r.follower_actor_uri for r in self.followers_of(account_id, state=None)]
             others = [
                 (owner_id, status.id)
-                for owner_id in list(self._timelines)
                 for status in dead_statuses
-                if _take_id(self._timelines, owner_id, status.id)
+                for uri in followers + [m.actor_uri for m in status.mentions]
+                if (owner_id := self._account_by_uri.get(uri)) is not None
+                and _take_id(self._timelines, owner_id, status.id)
             ]
             for key in own + others:
                 self._write("timelines", key, None)

@@ -672,6 +672,7 @@ class TestServe:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(f"{base}/definitely/not/here", timeout=5)
             assert excinfo.value.code == 404
+            excinfo.value.close()  # the error holds the response and its socket
 
             for content_length, status in (("abc", 400), ("-5", 400), ("99999999999", 413)):
                 line = _raw_status_line(port, content_length)

@@ -183,6 +183,22 @@ def test_create_stores_status_and_fans_in_locally(world):
     assert store.query_home_timeline(bob_account.id) == []
 
 
+def test_an_inbound_create_writes_its_rows_and_enqueues_nothing(world):
+    engine, store, _, alice = world
+    bob = remote_actor()
+    bob_account = remote_account(store)
+    carol = remote_account(store, "carol", "c.test")
+    # A local follower, a remote follower and a remote mention: delivering
+    # is the author's own server's job, so none of them gets a task here.
+    store.upsert_follow(alice.actor_uri, bob_account.id, "accepted", "http://x/f1", 0.0)
+    store.upsert_follow(carol.actor_uri, bob_account.id, "accepted", "http://x/f2", 0.0)
+    mention = TagEntry(TagKind.MENTION, "@carol@c.test", carol.actor_uri)
+    note = note_from(bob, tag_entries=(mention,))
+    assert engine.handle_inbox(create_activity(bob, note), bob) == []
+    assert [s.uri for s in store.query_home_timeline(alice.id)] == [note.id]
+    assert store.all_tasks() == []
+
+
 def test_create_for_mentioned_local_is_visible_regardless_of_follow(world):
     engine, store, _, alice = world
     bob = remote_actor()
@@ -641,13 +657,13 @@ def test_fan_out_matches_the_audience_oracle(world, monkeypatch):
             alice, 1000 + trial, visibility=visibility,
             mentions=[Mention(a.acct, a.actor_uri) for a in mentioned],
         )
+        # One call writes both halves: the remote inboxes' tasks, and a
+        # timeline row for each local account that may view it.
+        owner_ids.clear()
         tasks = engine.fan_out(status, alice)
         got = {t.target_inbox for t in tasks}
         want = expected_remote_inboxes(visibility, followers, mentioned)
         assert got == want, (trial, visibility)
-        # The local half: each local account that may view it gets a timeline row.
-        owner_ids.clear()
-        engine.local_fan_in(status, alice)
         owners = {store.get_account(i).acct for i in owner_ids}
         follows = {(a.actor_uri, alice.id) for a in followers}
         viewers = {a.acct for a in locals_ if may_view(a, status, alice, follows)}

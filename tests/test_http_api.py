@@ -494,6 +494,26 @@ def test_unfetchable_signer_is_401_actor_fetch_failed(node):
     assert body_json(response)["error"] == "ActorFetchFailed"
 
 
+def test_a_post_signed_with_a_local_key_is_401_and_changes_nothing(node):
+    node.create_user("bob", token="tok-bob")
+    alice = f"{BASE}/users/alice"
+    create = json.dumps(
+        {"type": "Create", "id": f"{alice}/statuses/9/activity", "actor": alice,
+         "to": [PUBLIC_COLLECTION],
+         "object": {"type": "Note", "id": f"{alice}/statuses/9", "attributedTo": alice,
+                    "content": "not sent by alice's server", "to": [PUBLIC_COLLECTION]}}
+    )
+    before = node.store.snapshot()
+    private_pem, _ = node.store.keypair("alice")
+    response = signed_inbox_post(
+        node, create, f"{alice}#main-key", private_pem, path="/users/bob/inbox"
+    )
+    assert response.status == 401
+    assert body_json(response)["error"] == "ActorFetchFailed"
+    assert node.transport.requests == []
+    assert node.store.snapshot() == before
+
+
 def actor_fetches(node, uri="http://b.test/users/bob"):
     return sum(1 for r in node.transport.requests if r.method == "GET" and r.url == uri)
 
@@ -841,6 +861,35 @@ def test_post_status_resolves_remote_mentions_and_fans_out(node):
     activity = parse_activity(task.activity_body)
     assert activity.kind.value == "Create"
     assert activity.object.content == "hi @bob@b.test"
+
+
+def test_a_local_post_reads_its_authors_followers_once(node, monkeypatch):
+    install_remote(node.transport)
+    bob = node.resolve_account(AcctHandle("bob", "b.test"))
+    alice = node.store.get_local_account("alice")
+    dave, _ = node.create_user("dave", token="tok-dave")
+    node.store.upsert_follow(bob.actor_uri, alice.id, "accepted", "http://b.test/f/1", 0.0)
+    assert api_post(node, f"/api/v1/accounts/{alice.id}/follow", {}, token="tok-dave").status == 200
+    reads = count_calls(monkeypatch, node.store, "followers_of")
+    response = api_post(node, "/api/v1/statuses", {"status": "to both halves"})
+    assert response.status == 200
+    assert reads == [(alice.id,)]
+    # The one read served both the local row and the remote task.
+    assert [s.content for s in node.store.query_home_timeline(dave.id)] == ["to both halves"]
+    assert [t.target_inbox for t in node.store.all_tasks()] == [bob.inbox_uri]
+
+
+def test_a_remote_handle_that_names_a_local_actor_does_not_resolve(node):
+    jrd = build_jrd(AcctHandle("bob", "evil.test"), f"{BASE}/users/alice")
+    node.transport.responses[
+        "http://evil.test/.well-known/webfinger?resource=acct%3Abob%40evil.test"
+    ] = HttpResponse(200, {"Content-Type": JRD_MEDIA_TYPE}, jrd)
+    response = get(node, "/api/v1/accounts/lookup?acct=bob%40evil.test")
+    assert response.status == 404
+    assert body_json(response)["error"] == "ResolutionFailed"
+    posted = body_json(api_post(node, "/api/v1/statuses", {"status": "hi @bob@evil.test"}))
+    assert posted["mentions"] == []
+    assert len(posted["warnings"]) == 1 and "bob@evil.test" in posted["warnings"][0]
 
 
 def test_post_status_reports_unresolvable_mentions_as_warnings(node):

@@ -1,5 +1,6 @@
 """Virtual network harness: faults, retries, determinism, scripted scenarios."""
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -460,12 +461,17 @@ class TestScenarios:
              "no instance '' is running"),
             ({"op": "expect", "check": "home_timeline_contains", "domain": "a.test",
               "content_substring": "hi"}, "no user '' with a token on a.test"),
+            ({"op": "expect", "check": "home_timeline_contains", "domain": "a.test",
+              "user": "alice"}, "home_timeline_contains needs a non-empty content_substring"),
+            ({"op": "expect", "check": "tag_timeline_absent", "domain": "a.test", "tag": "x",
+              "content_substring": ""}, "tag_timeline_absent needs a non-empty content_substring"),
             ({"op": "lookup", "domain": "zz.test", "acct": "alice@a.test"},
              "no instance 'zz.test' is running"),
             ({"op": "delete_account", "domain": "a.test", "username": "nobody"},
              "no user 'nobody' on a.test"),
         ],
         ids=["fault alias", "status_count without domain", "home timeline without user",
+             "home timeline without substring", "tag timeline with empty substring",
              "lookup on no instance", "delete of no user"],
     )
     def test_a_member_naming_nothing_fails_the_step(self, step, reason):
@@ -491,3 +497,74 @@ class TestScenarios:
         with pytest.raises(ExpectationFailed, match=r"bad step 1 \(\w+\): .*argument"):
             ScenarioRunner(net).run({"name": "bad", "steps": [spawn, step]})
         assert net.log == []
+
+
+def rows_outside_their_audience(net: VirtualNet) -> tuple[int, list[str]]:
+    """How many home-timeline rows the instances hold, and those whose owner
+    is not the status's author, holds no follow relation (in any state) to
+    the author, and is not mentioned by the status."""
+    rows, strays = 0, []
+    for domain, node in sorted(net.instances.items()):
+        store = node.store
+        for owner_id, status_id in json.loads(store.snapshot())["timelines"]:
+            rows += 1
+            owner, status = store.get_account(owner_id), store.get_status(status_id)
+            if owner is None or status is None or not (
+                owner.id == status.account_id
+                or store.get_follow(owner.actor_uri, status.account_id) is not None
+                or any(m.actor_uri == owner.actor_uri for m in status.mentions)
+            ):
+                strays.append(f"{domain}: row ({owner_id}, {status_id})")
+    return rows, strays
+
+
+class TestTimelineAudience:
+    """Every home-timeline row lies in its status's audience as fan-out wrote
+    it: the rule a deletion reads to find the rows it takes out."""
+
+    @pytest.mark.parametrize("backend", ["memory", "file"])
+    @pytest.mark.parametrize(
+        "path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda path: path.stem
+    )
+    def test_each_scenario_ends_with_every_row_in_its_audience(self, path, backend, tmp_path):
+        net = VirtualNet(seed=11, backend=backend, storage_root=str(tmp_path))
+        ScenarioRunner(net).run_file(path)
+        assert rows_outside_their_audience(net)[1] == []
+
+    @pytest.mark.parametrize("backend", ["memory", "file"])
+    def test_every_row_stays_in_its_audience_through_a_seeded_run(self, backend, tmp_path):
+        rng = random.Random(24)
+        net = VirtualNet(seed=24, backend=backend, storage_root=str(tmp_path))
+        net.spawn_instance("a.test", ["alice", "dave"])
+        net.spawn_instance("b.test", ["bob"])
+        net.spawn_instance("c.test", ["carol"])
+        alive = [("a.test", "alice"), ("a.test", "dave"), ("b.test", "bob"), ("c.test", "carol")]
+
+        def post(n: int) -> None:
+            domain, author = rng.choice(alive)
+            others = [f"@{user}@{host}" for host, user in alive if user != author]
+            visibility = rng.choice(["public", "followers", "direct"])
+            mentioned = rng.sample(others, rng.randint(visibility == "direct", 2))
+            net.post_status(domain, author, f"post {n} {' '.join(mentioned)}", visibility)
+
+        def delete_bob() -> None:
+            net.delete_account("b.test", "bob")
+            alive.remove(("b.test", "bob"))
+
+        steps = [
+            lambda: net.follow("b.test", "bob", "alice@a.test"),
+            lambda: net.follow("c.test", "carol", "alice@a.test"),
+            lambda: net.follow("a.test", "dave", "alice"),
+            lambda: net.follow("a.test", "alice", "bob@b.test"),
+            *[lambda n=n: post(n) for n in range(8)],
+            delete_bob,
+            *[lambda n=n: post(n) for n in range(8, 12)],
+        ]
+        most = 0
+        for index, step in enumerate(steps):
+            step()
+            net.run_until_quiet()
+            rows, strays = rows_outside_their_audience(net)
+            assert strays == [], index
+            most = max(most, rows)
+        assert most > 10

@@ -10,7 +10,9 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from mothfed import storage
+from mothfed.config import Config
 from mothfed.errors import DuplicateUri, StorageUnavailable, TombstonedActor, UnknownAccount
+from mothfed.federation import FederationEngine
 from mothfed.mastodon import Account, Mention, Status, Visibility
 from mothfed.simnet import VirtualNet
 from mothfed.storage import MAX_TERMINAL_TASKS, FileStore, MemoryStore, open_store
@@ -493,6 +495,77 @@ def test_delete_account_data_removes_the_interactions_a_scan_finds(store):
     assert 0 < len(scanned) < len(before)
     assert report["interactions"] == len(scanned)
     assert set(store._interactions) == before - scanned
+
+
+def timeline_rows(store):
+    return {(owner, i) for owner, ids in store._timelines.items() for i in ids}
+
+
+def test_a_delete_removes_exactly_the_timeline_rows_a_scan_finds(store):
+    rng = random.Random(24)
+    engine = FederationEngine(Config(domain="local.test"), store, lambda: 0.0)
+    people = [store.upsert_account(account(f"p{i}")) for i in range(8)]
+    for follower in people:
+        for followee in rng.sample(people, 3):
+            if followee is not follower:
+                store.upsert_follow(
+                    follower.actor_uri, followee.id, rng.choice(("accepted", "pending")),
+                    f"https://x/{follower.id}/{followee.id}", 0.0,
+                )
+    for n in range(40):
+        author = rng.choice(people)
+        mentions = [Mention(m.acct, m.actor_uri) for m in rng.sample(people, rng.randint(0, 2))]
+        stored = store.store_status(status(author, n, rng.choice(list(Visibility)), mentions))
+        engine.fan_out(stored, author)
+    victim = people[2]
+    dead = set(store._statuses_of[victim.id])
+    before = timeline_rows(store)
+    # The reference: every row a full scan of the timelines finds.
+    scanned = {(owner, i) for owner, i in before if owner == victim.id or i in dead}
+    report = store.delete_account_data(victim.actor_uri)
+    assert 0 < len(scanned) < len(before)
+    assert report["timeline_entries"] == len(scanned)
+    assert timeline_rows(store) == before - scanned
+    if isinstance(store, FileStore):
+        reopened = FileStore(store.root)
+        assert timeline_rows(reopened) == before - scanned
+        reopened.close()
+
+
+@pytest.mark.parametrize("backend", ["memory", "file"])
+def test_a_delete_tries_the_same_rows_however_many_timelines_the_store_holds(
+    backend, tmp_path, monkeypatch
+):
+    calls = []
+    take_id = storage._take_id
+
+    def counting(index, key, item):
+        calls.append(key)
+        return take_id(index, key, item)
+
+    monkeypatch.setattr(storage, "_take_id", counting)
+
+    def take_ids_to_delete(timelines):
+        store = MemoryStore() if backend == "memory" else FileStore(tmp_path / str(timelines))
+        with store.transaction():
+            author = store.upsert_account(account("author"))
+            others = [store.upsert_account(account(f"o{i}")) for i in range(timelines)]
+            for other in others:  # each a home timeline of its own
+                store.insert_timeline_entry(other.id, store.store_status(status(other, 0)).id, 0.0)
+            for other in others[:10]:
+                store.upsert_follow(other.actor_uri, author.id, "accepted", other.actor_uri, 0.0)
+            for n in range(1, 201):
+                mine = store.store_status(status(author, n))
+                for follower in others[:10]:
+                    store.insert_timeline_entry(follower.id, mine.id, 0.0)
+        calls.clear()
+        report = store.delete_account_data(author.actor_uri)
+        assert report["timeline_entries"] == 2000
+        store.close()
+        return len(calls)
+
+    # Trying every (timeline, dead status) pair makes the larger count about 10x.
+    assert take_ids_to_delete(200) == take_ids_to_delete(2000)
 
 
 def test_interaction_indexes_are_rebuilt_on_reopen(tmp_path):

@@ -28,7 +28,7 @@ class ResolutionFailed(MothError):
     """WebFinger lookup failed (network error, non-2xx, or malformed JRD)."""
 
 
-class NoSelfLink(MothError):
+class NoSelfLink(ResolutionFailed):
     """JRD lacks a rel="self" link with the ActivityPub media type."""
 
 

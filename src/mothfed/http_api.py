@@ -81,7 +81,7 @@ class _Refused(Exception):
 class HttpApi:
     def __init__(self, node) -> None:
         self.node = node
-        self._host = uri_host(node.base_url)  # the host every inbox POST must name
+        self._host = uri_host(node.config.base_url)  # the host every inbox POST must name
 
     # --- dispatch ---------------------------------------------------------------
 
@@ -225,7 +225,7 @@ class HttpApi:
                 f"{html_escape(found.actor_uri)}</a></p></body></html>"
             )
             return HttpResponse(200, {"Content-Type": HTML_MEDIA_TYPE}, body.encode("utf-8"))
-        actor = account_to_actor(found, self.node.base_url)
+        actor = account_to_actor(found)
         return _json_response(200, to_wire_dict(actor), ACTIVITY_MEDIA_TYPE)
 
     # --- federation ----------------------------------------------------------------
@@ -387,7 +387,7 @@ class HttpApi:
             stored = self.node.store.store_status(
                 Status(
                     id=status_id,
-                    uri=self.node.status_uri_for(author.username, status_id),
+                    uri=f"{author.actor_uri}/statuses/{status_id}",
                     content=content,
                     account_id=author.id,
                     visibility=visibility,

@@ -33,6 +33,8 @@ if TYPE_CHECKING:  # importing it loads every key type's native module
     from cryptography.hazmat.primitives.asymmetric.types import PrivateKeyTypes, PublicKeyTypes
 
 ALGORITHM = "rsa-sha256"
+# The algorithm names Mastodon accepts, each verified as RSA-SHA256; none named reads as ALGORITHM.
+ACCEPTED_ALGORITHMS = (ALGORITHM, "hs2019")
 SIGNED_HEADERS = ("(request-target)", "host", "date", "digest")
 # Largest accepted distance, in seconds, between a request's Date and now.
 SKEW_SECONDS = 300.0
@@ -175,6 +177,8 @@ def verify_signature(
     if not raw_signature:
         raise NoSignature("request has no Signature header")
     params = parse_signature_header(raw_signature)
+    if params.algorithm not in ACCEPTED_ALGORITHMS:
+        raise BadSignature(f"unsupported signature algorithm {params.algorithm!r}")
 
     date_text = lowered.get("date")
     if not date_text:

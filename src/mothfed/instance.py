@@ -60,18 +60,12 @@ class InstanceNode:
     def domain(self) -> str:
         return self.config.domain
 
-    @property
-    def base_url(self) -> str:
-        return self.config.base_url
-
     def now_dt(self) -> datetime:
         return datetime.fromtimestamp(self.clock(), tz=timezone.utc)
 
     def actor_uri_for(self, username: str) -> str:
-        return f"{self.base_url}/users/{username}"
-
-    def status_uri_for(self, username: str, status_id: int) -> str:
-        return f"{self.base_url}/users/{username}/statuses/{status_id}"
+        """The URI create_user mints for a new name; afterwards it is read from the row."""
+        return f"{self.config.base_url}/users/{username}"
 
     def handle_http(self, request: HttpRequest) -> HttpResponse:
         return self.api.handle(request)

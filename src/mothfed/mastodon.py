@@ -235,20 +235,21 @@ def actor_to_account(actor: Actor, local_domain: str, now: datetime) -> Account:
     )
 
 
-def account_to_actor(account: Account, base_url: str) -> Actor:
-    """Wire actor document for a local account.
+def account_to_actor(account: Account) -> Actor:
+    """Wire actor document for a local account, from the URIs its row was
+    created with: they never change, whatever the config says later.
 
     Raises RemoteAccount for accounts that live on another server; we never
     republish those.
     """
     if account.is_remote:
         raise RemoteAccount(account.acct)
-    root = f"{base_url}/users/{account.username}"
+    root = account.actor_uri
     return Actor(
         id=root,
         kind=ActorKind.PERSON,
         preferred_username=account.username,
-        inbox=f"{root}/inbox",
+        inbox=account.inbox_uri,
         public_key=PublicKeySpec(
             key_id=f"{root}#main-key",
             owner=root,

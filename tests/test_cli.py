@@ -227,6 +227,7 @@ class TestProbe:
         )
         assert steps[-1].name == "WebFinger parse"
         assert not steps[-1].ok
+        assert steps[-1].detail.startswith("NoSelfLink: ")
         assert "rel=self" in steps[-1].detail
 
     def test_invalid_actor_document_names_reason(self):

@@ -476,6 +476,19 @@ def test_an_imf_fixdate_reads_as_email_utils_reads_it():
             httpsig._parse_http_date(text)
 
 
+def test_an_unsupported_signature_algorithm_is_401_naming_it(node):
+    install_remote(node.transport)
+    url, body = f"{BASE}/users/alice/inbox", bob_create().encode()
+    when = datetime.fromtimestamp(node.clock(), tz=timezone.utc)
+    headers = sign_request("POST", url, body, BOB_KEY_ID, REMOTE_KEY, when)
+    headers["Signature"] = headers["Signature"].replace("rsa-sha256", "hmac-sha256")
+    response = node.handle_http(HttpRequest("POST", url, headers, body))
+    assert response.status == 401
+    assert body_json(response)["error"] == "BadSignature"
+    assert "hmac-sha256" in body_json(response)["detail"]
+    assert node.store.get_status_by_uri("http://b.test/users/bob/statuses/1") is None
+
+
 def test_tampered_body_is_401_digest_mismatch(node):
     install_remote(node.transport)
     body = bob_create().encode()
@@ -1060,6 +1073,74 @@ def test_lookup_reports_why_resolution_failed(node):
     assert body_json(response)["error"] == "ResolutionFailed"
 
 
+BOB_WEBFINGER = "http://b.test/.well-known/webfinger?resource=acct%3Abob%40b.test"
+BOB_ACTOR = "http://b.test/users/bob"
+SELF_LINK = {"rel": "self", "type": ACTIVITY_MEDIA_TYPE, "href": BOB_ACTOR}
+
+
+def _jrd(*links, subject="acct:bob@b.test"):
+    document = {"subject": subject, "links": list(links)}
+    body = json.dumps({k: v for k, v in document.items() if v is not None}).encode()
+    return HttpResponse(200, {"Content-Type": JRD_MEDIA_TYPE}, body)
+
+
+def _actor(status=200, body=None, **changes):
+    document = {**remote_actor_doc(), **changes}
+    if body is None:
+        body = json.dumps({k: v for k, v in document.items() if v is not None}).encode()
+    return HttpResponse(status, {"Content-Type": ACTIVITY_MEDIA_TYPE}, body)
+
+
+# One failure each, from WebFinger or from the actor document it points at;
+# None leaves the URL unserved, which CannedTransport answers 404.
+DISCOVERY_FAILURES = {
+    "webfinger 404": (None, None, "ResolutionFailed"),
+    "webfinger 500": (HttpResponse(500, {}, b"oops"), None, "ResolutionFailed"),
+    "webfinger empty 200": (HttpResponse(200, {}, b""), None, "ResolutionFailed"),
+    "webfinger not JSON": (HttpResponse(200, {}, b"<html>"), None, "ResolutionFailed"),
+    "webfinger no subject": (_jrd(SELF_LINK, subject=None), None, "ResolutionFailed"),
+    "webfinger no self link": (_jrd(), None, "NoSelfLink"),
+    "webfinger self link typed text/html": (
+        _jrd({**SELF_LINK, "type": "text/html"}), None, "NoSelfLink"
+    ),
+    "webfinger relative href": (
+        _jrd({**SELF_LINK, "href": "/users/bob"}), None, "ResolutionFailed"
+    ),
+    "actor 404": (_jrd(SELF_LINK), None, "ResolutionFailed"),
+    "actor 410": (_jrd(SELF_LINK), _actor(410, b'{"error": "Gone"}'), "ResolutionFailed"),
+    "actor not JSON": (_jrd(SELF_LINK), _actor(body=b"<html>"), "ResolutionFailed"),
+    "actor refused by validate_actor_document": (
+        _jrd(SELF_LINK), _actor(inbox=None), "ResolutionFailed"
+    ),
+    "actor id names another URI": (
+        _jrd(SELF_LINK), _actor(id="http://b.test/users/mallory"), "ResolutionFailed"
+    ),
+    "self link on this server's own host": (
+        _jrd({**SELF_LINK, "href": f"{BASE}/users/alice"}), None, "ResolutionFailed"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "webfinger,actor,reason", DISCOVERY_FAILURES.values(), ids=DISCOVERY_FAILURES.keys()
+)
+def test_no_discovery_failure_answers_500(node, webfinger, actor, reason):
+    for url, response in ((BOB_WEBFINGER, webfinger), (BOB_ACTOR, actor)):
+        if response is not None:
+            node.transport.responses[url] = response
+
+    looked_up = get(node, "/api/v1/accounts/lookup?acct=bob%40b.test")
+    assert (looked_up.status, body_json(looked_up)["error"]) == (404, reason)
+
+    posted = api_post(node, "/api/v1/statuses", {"status": "hi @bob@b.test"})
+    assert posted.status == 200
+    data = body_json(posted)
+    assert data["mentions"] == []
+    assert len(data["warnings"]) == 1 and "bob@b.test" in data["warnings"][0]
+    assert node.store.get_status(int(data["id"])).content == "hi @bob@b.test"
+    assert node.store.get_account_by_uri(BOB_ACTOR) is None
+
+
 # --- cross-cutting ----------------------------------------------------------------------------
 
 
@@ -1212,3 +1293,47 @@ def test_a_crash_inside_an_inbox_request_is_undone_by_the_senders_retry(tmp_path
     timeline = get(restarted, "/api/v1/timelines/home", {"Authorization": "Bearer tok-alice"})
     assert [s["uri"] for s in body_json(timeline)] == ["http://b.test/users/bob/statuses/1"]
     restarted.close()
+
+
+# --- a local account's URIs are minted once ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "reopened_as",
+    [
+        Config(domain=LOCAL, test_mode=False, key_bits=1024),  # the scheme changed
+        Config(domain="moved.test", test_mode=True, key_bits=1024),  # the domain changed
+    ],
+    ids=["https", "another-domain"],
+)
+def test_a_reopened_store_publishes_the_uris_it_signs_with(tmp_path, reopened_as):
+    first = file_node_at(tmp_path / "store")
+    first.create_user("alice", token="tok-alice")
+    alice, bob = alice_and_bob_follow_each_other(first)
+    first.close()
+
+    node = InstanceNode(
+        reopened_as, store=FileStore(tmp_path / "store"), transport=CannedTransport(),
+        clock=Ticker(),
+    )
+    row = node.store.get_local_account("alice")
+    assert (row.actor_uri, row.inbox_uri) == (alice.actor_uri, alice.inbox_uri)
+    posted = api_post(node, "/api/v1/statuses", {"status": "after the reopen"})
+    node.process_deliveries()
+    [delivery] = [r for r in node.transport.requests if r.url == bob.inbox_uri]
+    served = get(node, "/users/alice", {"Accept": ACTIVITY_MEDIA_TYPE})
+    assert served.status == 200
+    document = body_json(served)
+
+    signature = httpsig.parse_signature_header(delivery.headers["Signature"])
+    assert signature.key_id == document["publicKey"]["id"]
+    assert (document["id"], document["inbox"]) == (row.actor_uri, row.inbox_uri)
+    assert body_json(posted)["uri"].startswith(f"{row.actor_uri}/statuses/")
+    # The served document verifies the delivery, as the follower would check it.
+    actor = validate_actor_document(served.body)
+    verified = httpsig.verify_signature(
+        "POST", delivery.target, delivery.headers, delivery.body, lambda uri: actor,
+        node.now_dt(),
+    )
+    assert verified.id == row.actor_uri
+    node.close()

@@ -254,6 +254,26 @@ def test_signature_must_cover_the_required_headers():
     assert "required headers" in str(exc_info.value)
 
 
+@pytest.mark.parametrize("algorithm", [None, "rsa-sha256", "hs2019"])
+def test_absent_rsa_sha256_and_hs2019_verify_as_rsa_sha256(algorithm):
+    headers = signed()
+    named = "" if algorithm is None else f'algorithm="{algorithm}",'
+    headers["Signature"] = headers["Signature"].replace('algorithm="rsa-sha256",', named)
+    assert parse_signature_header(headers["Signature"]).algorithm == (algorithm or "rsa-sha256")
+    actor = verify_signature("POST", TARGET, headers, BODY, fetcher(FIXED_PUBLIC_PEM), NOW)
+    assert actor.id == ACTOR_URI
+
+
+def test_any_other_algorithm_is_a_bad_signature_that_names_it():
+    headers = signed()
+    headers["Signature"] = headers["Signature"].replace(
+        'algorithm="rsa-sha256"', 'algorithm="hmac-sha256"'
+    )
+    with pytest.raises(BadSignature) as exc_info:
+        verify_signature("POST", TARGET, headers, BODY, fetcher(FIXED_PUBLIC_PEM), NOW)
+    assert "'hmac-sha256'" in str(exc_info.value)
+
+
 def test_key_owner_must_match_the_actor():
     headers = signed()
     fetch = fetcher(FIXED_PUBLIC_PEM, owner="https://a.test/users/mallory")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from datetime import datetime, timezone
 
@@ -196,7 +197,7 @@ def test_actor_to_account_takes_the_host_the_actor_parser_reads():
 
 
 def test_account_to_actor_builds_conventional_uris():
-    actor = account_to_actor(ALICE, "https://local.test")
+    actor = account_to_actor(ALICE)
     assert actor.id == "https://local.test/users/alice"
     assert actor.inbox == "https://local.test/users/alice/inbox"
     assert actor.outbox == "https://local.test/users/alice/outbox"
@@ -205,9 +206,22 @@ def test_account_to_actor_builds_conventional_uris():
     assert actor.public_key.owner == actor.id
 
 
+def test_account_to_actor_reads_the_uris_stored_in_the_row():
+    minted = dataclasses.replace(
+        ALICE,
+        actor_uri="http://old.test/users/alice",
+        inbox_uri="http://old.test/inboxes/alice",
+    )
+    actor = account_to_actor(minted)
+    assert actor.id == "http://old.test/users/alice"
+    assert actor.inbox == "http://old.test/inboxes/alice"
+    assert actor.public_key.key_id == "http://old.test/users/alice#main-key"
+    assert actor.public_key.pem == "PEM"
+
+
 def test_account_to_actor_refuses_remote_accounts():
     with pytest.raises(RemoteAccount):
-        account_to_actor(BOB_REMOTE, "https://local.test")
+        account_to_actor(BOB_REMOTE)
 
 
 # --- status <-> note ------------------------------------------------------------------

@@ -262,22 +262,15 @@ class FederationEngine:
     def enqueue(
         self, activity: Activity, signer: Account, inboxes: list[str]
     ) -> list[DeliveryTask]:
-        """One task per inbox, each inbox's domain noted as a peer; every task
-        shares the one serialized body."""
+        """One task per inbox, all queued by one store call and sharing the one
+        serialized body. No peer is noted here: every inbox queued is a peer's
+        or a remote account's, noted by _dispatch or resolve_account as its
+        row was written."""
         if not inboxes:
             return []
         body = serialize_object(activity)
         key_id = f"{signer.actor_uri}#main-key"
-        now = self.clock()
-        tasks = [
-            self.store.enqueue_task(
-                activity_body=body, target_inbox=inbox, key_id=key_id, now=now
-            )
-            for inbox in inboxes
-        ]
-        for inbox in inboxes:
-            self.note_peer(inbox)
-        return tasks
+        return self.store.enqueue_task(body, inboxes, key_id, self.clock())
 
     def create_activity(self, status: Status, author: Account) -> Activity:
         """The Create that publishes a local status; a reply names its parent's URI."""

@@ -282,12 +282,13 @@ class HttpApi:
         cached: set[str] = set()
 
         def fetch(uri: str) -> Actor:
-            if node.cached_actor(uri) is not None:
+            actor, from_cache = node.fetch_actor(uri)
+            if from_cache:
                 cached.add(uri)
-            return node.fetch_actor(uri)
+            return actor
 
         def refetch(uri: str) -> Actor | None:
-            return node.fetch_actor(uri, refresh=True) if uri in cached else None
+            return node.fetch_actor(uri, refresh=True)[0] if uri in cached else None
 
         return verify_signature(
             request.method, request.target, request.headers, request.body, fetch, node.now_dt(),

@@ -114,22 +114,19 @@ class InstanceNode:
 
     # --- remote actors ----------------------------------------------------------
 
-    def cached_actor(self, actor_uri: str) -> Actor | None:
-        """The fetched actor document for a URI, if one is cached and fresh."""
-        return self._actor_cache.get(actor_uri.split("#", 1)[0])
-
-    def fetch_actor(self, actor_uri: str, refresh: bool = False) -> Actor:
-        """A remote actor's document, via cache (unless refresh) or the network;
-        a URI on this server's own host raises ActorFetchFailed: no local actor is fetched."""
+    def fetch_actor(self, actor_uri: str, refresh: bool = False) -> tuple[Actor, bool]:
+        """A remote actor's document, and whether it came from the cache (never
+        with refresh) rather than the network; a URI on this server's own host
+        raises ActorFetchFailed: no local actor is fetched."""
         uri = actor_uri.split("#", 1)[0]
         cached = None if refresh else self._actor_cache.get(uri)
         if cached is not None:
-            return cached
+            return cached, True
         if uri_host(uri).lower() == self.domain.lower():
             raise ActorFetchFailed(f"{uri} is a local actor, not fetched")
         actor = actor_from_document(fetch_actor_document(self.transport, uri), uri)
         self._actor_cache.put(uri, actor)
-        return actor
+        return actor, False
 
     def forget_actor(self, actor_uri: str) -> None:
         self._actor_cache.pop(actor_uri.split("#", 1)[0])
@@ -140,7 +137,7 @@ class InstanceNode:
         if self.store.is_tombstoned(actor_uri):
             raise ResolutionFailed(f"{handle}: actor was deleted")
         try:
-            actor = self.fetch_actor(actor_uri)
+            actor, _ = self.fetch_actor(actor_uri)
         except ActorFetchFailed as exc:
             raise ResolutionFailed(str(exc)) from exc
         with self.store.transaction():

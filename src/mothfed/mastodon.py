@@ -73,11 +73,12 @@ class Status:
 
 # A mention is @user or @user@host not preceded by a word character (so
 # email-like text "a@b" and doubled "@@" stay out). Domains need at least one
-# label; the dot-separated tail is optional for local shorthand.
+# label; the dot-separated tail is optional for local shorthand. Each pattern
+# starts with its literal, so the lookbehind is tried only where one stands.
 _MENTION_RE = re.compile(
-    r"(?<![\w@])@([A-Za-z0-9_]+)(?:@((?:[A-Za-z0-9-]+\.)+[A-Za-z0-9-]+))?"
+    r"@(?<![\w@]@)([A-Za-z0-9_]+)(?:@((?:[A-Za-z0-9-]+\.)+[A-Za-z0-9-]+))?"
 )
-_TAG_RE = re.compile(r"(?<![\w#])#([A-Za-z0-9_]+)")
+_TAG_RE = re.compile(r"#(?<![\w#]#)([A-Za-z0-9_]+)")
 
 
 def extract_mentions(text: str, local_domain: str) -> list[str]:

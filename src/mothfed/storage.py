@@ -149,12 +149,13 @@ class MemoryStore:
 
     # --- sequences ---------------------------------------------------------
 
-    def next_sequence(self, name: str) -> int:
+    def next_sequence(self, name: str, count: int = 1) -> int:
+        """The first of count fresh values of a sequence, taken with one counter write."""
         with self._lock:
-            value = self._counters.get(name, 0) + 1
+            value = self._counters.get(name, 0) + count
             self._counters[name] = value
             self._write("counters", name, (name, value))
-            return value
+            return value - count + 1
 
     def next_status_id(self, now: float) -> int:
         """Time-ordered unique id: epoch-microseconds floor, strictly rising."""
@@ -211,12 +212,11 @@ class MemoryStore:
                 raise TombstonedActor(author.actor_uri)
             if status.uri and status.uri in self._status_by_uri:
                 raise DuplicateUri(status.uri)
-            status_id = status.id
-            if status_id is None:
-                status_id = self.next_status_id(status.created_at.timestamp())
-            stored = replace(status, id=status_id)
+            stored = status
+            if status.id is None:
+                stored = replace(status, id=self.next_status_id(status.created_at.timestamp()))
             self._index_status(stored)
-            self._write("statuses", status_id, stored)
+            self._write("statuses", stored.id, stored)
             return stored
 
     def get_status(self, status_id: int) -> Status | None:
@@ -513,20 +513,27 @@ class MemoryStore:
     # --- delivery tasks --------------------------------------------------------------
 
     def enqueue_task(
-        self, activity_body: str, target_inbox: str, key_id: str, now: float
-    ) -> DeliveryTask:
+        self, activity_body: str, target_inboxes: list[str], key_id: str, now: float
+    ) -> list[DeliveryTask]:
+        """One pending task per inbox, in order, with ascending ids from one
+        block of the task sequence; on FileStore they commit together."""
         with self._lock:
-            task = DeliveryTask(
-                task_id=self.next_sequence("task"),
-                activity_body=activity_body,
-                target_inbox=target_inbox,
-                key_id=key_id,
-                created_at=now,
-                next_attempt_at=now,
-            )
-            self._index_task(task)
-            self._write("tasks", task.task_id, task)
-            return task
+            first = self.next_sequence("task", len(target_inboxes))
+            tasks = [
+                DeliveryTask(
+                    task_id=first + n,
+                    activity_body=activity_body,
+                    target_inbox=inbox,
+                    key_id=key_id,
+                    created_at=now,
+                    next_attempt_at=now,
+                )
+                for n, inbox in enumerate(target_inboxes)
+            ]
+            for task in tasks:
+                self._index_task(task)
+                self._write("tasks", task.task_id, task)
+            return tasks
 
     def save_task(self, task: DeliveryTask) -> None:
         with self._lock:
@@ -736,17 +743,6 @@ class FileStore(MemoryStore):
         super().__init__()
         self.root = Path(root)
         path = self.root / "store.sqlite3"
-        if (self.root / "counters.json").exists() and not path.exists():
-            raise StorageUnavailable(
-                f"{root} holds the old per-record JSON layout (counters.json), "
-                f"not {path.name}; it cannot be opened"
-            )
-        keys = self.root / "keys"
-        if any(keys.glob("*.pem")):
-            raise StorageUnavailable(
-                f"{keys} holds PEM files of the old key layout; key pairs now live in "
-                f"{path.name}, so {root} cannot be opened"
-            )
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             # SQLite gives -wal and -shm the mode of the database file; a file

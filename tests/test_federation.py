@@ -17,12 +17,14 @@ from mothfed.activitypub import (
     TagEntry,
     TagKind,
     serialize_object,
+    uri_host,
 )
 from mothfed.config import Config
 from mothfed.errors import ActorMismatch, TombstonedActor, TransportError
 from mothfed.federation import MAX_ATTEMPTS, FederationEngine, username_from_key_id
 from mothfed.httpsig import generate_rsa_keypair, load_private_key
 from mothfed.mastodon import Account, Mention, Status, Visibility
+from mothfed.simnet import VirtualNet
 from mothfed.storage import FileStore, MemoryStore
 from mothfed.transport import HttpResponse
 
@@ -670,11 +672,19 @@ def test_fan_out_matches_the_audience_oracle(world, monkeypatch):
         assert owners == viewers, (trial, visibility)
 
 
+def follower_at_the_inbox(engine, alice, username, domain):
+    """A remote account following alice as one arrives: its Follow, handled at
+    the inbox, writes its row and notes its inbox's domain as a peer."""
+    actor = remote_actor(username, domain)
+    follow = follow_activity(actor, alice.actor_uri, f"{actor.id}#follows/1")
+    assert engine.handle_inbox(follow, actor) == []
+    return engine.store.get_account_by_uri(actor.id)
+
+
 def test_fan_out_serializes_the_activity_once_for_all_inboxes(world, monkeypatch):
     engine, store, _, alice = world
     for i in range(16):
-        follower = remote_account(store, f"user{i}", f"host{i // 4}.test")
-        store.upsert_follow(follower.actor_uri, alice.id, "accepted", f"http://x/{i}", 0.0)
+        follower_at_the_inbox(engine, alice, f"user{i}", f"host{i // 4}.test")
     serialized = []
 
     def counting(obj):
@@ -686,25 +696,117 @@ def test_fan_out_serializes_the_activity_once_for_all_inboxes(world, monkeypatch
     assert len(tasks) == 16 and len(serialized) == 1
     assert all(t.activity_body is tasks[0].activity_body for t in tasks)
 
-    # The Delete to the four peers fan-out recorded is serialized once too.
+    # The Delete to the four peers the Follows recorded is serialized once too.
     deletes = engine.propagate_delete(alice)
     assert len(deletes) == 4 and len(serialized) == 2
     assert all(t.activity_body is deletes[0].activity_body for t in deletes)
 
 
-def test_fan_out_writes_a_peer_row_once_per_new_domain(world, monkeypatch):
+def test_a_domain_gets_one_peer_row_and_fan_out_writes_none(world, monkeypatch):
     engine, store, _, alice = world
-    followers = [remote_account(store, f"user{i}", "b.test") for i in range(4)]
-    for i, follower in enumerate(followers):
-        store.upsert_follow(follower.actor_uri, alice.id, "accepted", f"http://x/{i}", 0.0)
     writes = []
     monkeypatch.setattr(store, "_write", lambda collection, key, value: writes.append(collection))
+    followers = [follower_at_the_inbox(engine, alice, f"user{i}", "b.test") for i in range(4)]
+    assert writes.count("peers") == 1
     for n in range(3):
         assert len(engine.fan_out(local_status(alice, n), alice)) == 4
     assert writes.count("peers") == 1
     # The first follower's inbox is the hint a Delete goes to.
     assert store.list_peers() == [("b.test", followers[0].inbox_uri)]
     assert [t.target_inbox for t in engine.propagate_delete(alice)] == [followers[0].inbox_uri]
+
+
+# --- one store call per post's deliveries ---------------------------------------------------
+
+
+@pytest.fixture(params=["memory", "file"])
+def either_world(request, tmp_path):
+    """world, on the memory store and on a file store."""
+    store = MemoryStore() if request.param == "memory" else FileStore(tmp_path / "store")
+    engine = FederationEngine(Config(domain=LOCAL, test_mode=True), store, Ticker())
+    yield engine, store, engine.clock, add_local_alice(store)
+    store.close()
+
+
+def sixteen_followers_on_four_peers(engine, alice):
+    return [
+        follower_at_the_inbox(engine, alice, f"user{i}", f"host{i % 4}.test") for i in range(16)
+    ]
+
+
+def test_a_posts_tasks_take_one_ascending_block_of_ids_in_audience_order(either_world):
+    engine, store, _, alice = either_world
+    followers = sixteen_followers_on_four_peers(engine, alice)
+    accepts = store.all_tasks()
+    first = engine.fan_out(local_status(alice, 1), alice)
+    second = engine.fan_out(local_status(alice, 2), alice)
+    start = accepts[-1].task_id + 1
+    assert [t.task_id for t in first + second] == list(range(start, start + 32))
+    assert [t.target_inbox for t in first] == [f.inbox_uri for f in followers]
+    assert store.all_tasks() == accepts + first + second
+
+
+def test_a_reopened_file_store_continues_the_task_sequence(tmp_path):
+    store = FileStore(tmp_path / "store")
+    engine = FederationEngine(Config(domain=LOCAL, test_mode=True), store, Ticker())
+    alice = add_local_alice(store)
+    sixteen_followers_on_four_peers(engine, alice)
+    last = engine.fan_out(local_status(alice, 1), alice)[-1].task_id
+    live = store.snapshot()
+    store.close()
+    reopened = FileStore(tmp_path / "store")
+    assert reopened.snapshot() == live
+    engine = FederationEngine(Config(domain=LOCAL, test_mode=True), reopened, Ticker())
+    tasks = engine.fan_out(local_status(alice, 2), alice)
+    assert [t.task_id for t in tasks] == list(range(last + 1, last + 17))
+    reopened.close()
+
+
+def test_a_post_to_sixteen_followers_writes_one_counter_row_and_sixteen_task_rows(
+    either_world, monkeypatch
+):
+    engine, store, _, alice = either_world
+    sixteen_followers_on_four_peers(engine, alice)
+    written = []
+    write = store._write
+
+    def counted(collection, key, value):
+        written.append((collection, key))
+        write(collection, key, value)
+
+    monkeypatch.setattr(store, "_write", counted)
+    tasks = engine.fan_out(local_status(alice, 1), alice)
+    assert len(tasks) == 16
+    assert written.count(("counters", "task")) == 1
+    assert [key for collection, key in written if collection == "tasks"] == [
+        t.task_id for t in tasks
+    ]
+    assert not [key for collection, key in written if collection == "peers"]
+
+
+@pytest.mark.parametrize("backend", ["memory", "file"])
+def test_every_queued_inbox_host_is_a_peer(backend, tmp_path):
+    net = VirtualNet(seed=4, backend=backend, storage_root=str(tmp_path))
+    net.spawn_instance("a.test", ["alice"])
+    net.spawn_instance("b.test", ["bob", "bea"])
+    net.spawn_instance("c.test", ["carol"])
+    net.spawn_instance("d.test", ["dave"])
+    for domain, username in [("b.test", "bob"), ("b.test", "bea"), ("c.test", "carol")]:
+        net.follow(domain, username, "alice@a.test")
+    net.run_until_quiet()
+    # Followers arrived by Follow; dave is resolved for the mention, and bob
+    # mentions alice, whom b.test resolved to follow.
+    net.post_status("a.test", "alice", "hello @dave@d.test")
+    net.post_status("b.test", "bob", "hi @alice@a.test")
+    queued = {}
+    for domain in ("a.test", "b.test", "c.test", "d.test"):
+        store = net.node(domain).store
+        hosts = {uri_host(t.target_inbox) for t in store.all_tasks()}
+        assert hosts <= {peer for peer, _ in store.list_peers()}, domain
+        queued[domain] = hosts
+    assert queued["a.test"] == {"b.test", "c.test", "d.test"}
+    assert queued["b.test"] == {"a.test"}
+    net.run_until_quiet()
 
 
 # --- propagate_delete ----------------------------------------------------------------------
@@ -883,8 +985,8 @@ def test_each_attempt_is_signed_fresh(world):
 
 def test_missing_signing_key_is_a_terminal_failure(world):
     engine, store, clock, alice = world
-    task = store.enqueue_task(
-        "{}", "http://b.test/inbox", "http://local.test/users/ghost#main-key", clock()
+    [task] = store.enqueue_task(
+        "{}", ["http://b.test/inbox"], "http://local.test/users/ghost#main-key", clock()
     )
     transport = ScriptedInboxes()
     report = engine.process_queue(clock(), transport)
@@ -940,10 +1042,9 @@ def test_a_rotated_key_signs_from_the_next_batch(world):
 def test_a_missing_key_fails_each_of_its_tasks_with_its_own_reason(world):
     engine, store, clock, alice = world
     ghost_key = "http://local.test/users/ghost#main-key"
-    ghost_tasks = [
-        store.enqueue_task("{}", f"http://b.test/users/u{i}/inbox", ghost_key, clock())
-        for i in range(3)
-    ]
+    ghost_tasks = store.enqueue_task(
+        "{}", [f"http://b.test/users/u{i}/inbox" for i in range(3)], ghost_key, clock()
+    )
     enqueue_like(engine, alice, ["http://b.test/users/bob/inbox"])
     transport = ScriptedInboxes()
     report = engine.process_queue(clock(), transport)

@@ -548,6 +548,22 @@ def test_a_peer_that_rotates_its_key_is_accepted_on_its_next_post(node):
     assert actor_fetches(node) == 2
 
 
+def test_a_verified_repeat_reads_the_actor_cache_once(node, monkeypatch):
+    install_remote(node.transport)
+    assert signed_inbox_post(node, bob_create(), BOB_KEY_ID, REMOTE_PRIVATE).status == 202
+    keys = []
+    get = identity.TtlCache.get
+
+    def counting(cache, key):
+        keys.append(key)
+        return get(cache, key)
+
+    monkeypatch.setattr(identity.TtlCache, "get", counting)
+    assert signed_inbox_post(node, bob_create(), BOB_KEY_ID, REMOTE_PRIVATE).status == 202
+    assert keys == ["http://b.test/users/bob"]
+    assert actor_fetches(node) == 1
+
+
 def test_a_forged_signature_costs_one_refetch_and_is_refused(node):
     install_remote(node.transport)
     forged_private, _ = generate_rsa_keypair(1024)
@@ -630,13 +646,13 @@ def test_only_an_honoured_self_delete_evicts_the_cached_signer(node):
 
     response = signed_inbox_post(node, delete(carol, bob), f"{carol}#main-key", REMOTE_PRIVATE)
     assert body_json(response)["warnings"] == [f"Delete for {bob} from {carol} ignored"]
-    assert node.cached_actor(carol) is not None
-    assert node.cached_actor(bob) is not None
+    assert node._actor_cache.get(carol) is not None
+    assert node._actor_cache.get(bob) is not None
 
     response = signed_inbox_post(node, delete(bob, bob), BOB_KEY_ID, REMOTE_PRIVATE)
     assert body_json(response) == {"queued": True, "warnings": []}
-    assert node.cached_actor(bob) is None
-    assert node.cached_actor(carol) is not None
+    assert node._actor_cache.get(bob) is None
+    assert node._actor_cache.get(carol) is not None
 
 
 def test_malformed_inbox_payloads_are_400(node):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mothfed.activitypub import format_timestamp, parse_timestamp
 from mothfed.httpsig import body_digest
 from mothfed.identity import parse_acct
-from mothfed.mastodon import extract_mentions, extract_tags, sanitize_html
+from mothfed.mastodon import _MENTION_RE, _TAG_RE, extract_mentions, extract_tags, sanitize_html
 
 LOCAL = "local.test"
 
@@ -87,6 +87,32 @@ def test_extracted_entities_are_substrings_of_the_text(text):
         assert tag in text.lower()
     for acct in extract_mentions(text, LOCAL):
         assert acct.split("@")[0] in text
+
+
+# The patterns as they were with the lookbehind first: the oracle for the
+# literal-first ones, which re tries only where an @ or # stands.
+_LOOKBEHIND_FIRST = {
+    _MENTION_RE: re.compile(
+        r"(?<![\w@])@([A-Za-z0-9_]+)(?:@((?:[A-Za-z0-9-]+\.)+[A-Za-z0-9-]+))?"
+    ),
+    _TAG_RE: re.compile(r"(?<![\w#])#([A-Za-z0-9_]+)"),
+}
+# Text heavy in the characters either side of a mention or tag.
+entity_pieces = st.one_of(
+    st.sampled_from("@#_.-aZ9é \n"),
+    st.from_regex(
+        r"[@#][A-Za-z0-9_]{0,3}(@[a-z0-9-]{0,3}(\.[a-z0-9-]{0,3}){0,2})?", fullmatch=True
+    ),
+    st.characters(),
+)
+entity_text = st.lists(entity_pieces, max_size=16).map("".join)
+
+
+@given(entity_text)
+def test_literal_first_patterns_find_what_the_lookbehind_first_ones_did(text):
+    for pattern, oracle in _LOOKBEHIND_FIRST.items():
+        found = [(m.span(), m.groups()) for m in pattern.finditer(text)]
+        assert found == [(m.span(), m.groups()) for m in oracle.finditer(text)]
 
 
 @given(st.binary(max_size=4096))

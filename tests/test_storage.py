@@ -626,8 +626,8 @@ def test_deleted_actor_cannot_be_reinserted_via_status(store):
 
 
 def test_task_queue_ordering_and_due_filter(store):
-    t1 = store.enqueue_task("{}", "https://b.test/inbox", "k#main-key", 10.0)
-    t2 = store.enqueue_task("{}", "https://c.test/inbox", "k#main-key", 5.0)
+    [t1] = store.enqueue_task("{}", ["https://b.test/inbox"], "k#main-key", 10.0)
+    [t2] = store.enqueue_task("{}", ["https://c.test/inbox"], "k#main-key", 5.0)
     assert [t.task_id for t in store.due_tasks(10.0)] == [t2.task_id, t1.task_id]
     assert [t.task_id for t in store.due_tasks(7.0)] == [t2.task_id]
     assert store.pending_count() == 2
@@ -635,7 +635,7 @@ def test_task_queue_ordering_and_due_filter(store):
 
 
 def test_terminal_tasks_leave_the_pending_set(store):
-    task = store.enqueue_task("{}", "https://b.test/inbox", "k#main-key", 0.0)
+    [task] = store.enqueue_task("{}", ["https://b.test/inbox"], "k#main-key", 0.0)
     done = replace(task, terminal=True, result="delivered")
     store.save_task(done)
     assert store.pending_count() == 0
@@ -646,11 +646,12 @@ def test_terminal_tasks_leave_the_pending_set(store):
 
 def test_only_the_newest_terminal_tasks_are_kept_and_pending_ones_never_drop(store):
     with store.transaction():
-        slow = store.enqueue_task("{}", "https://slow.test/inbox", "k#main-key", 0.0)
-        waiting = store.enqueue_task("{}", "https://down.test/inbox", "k#main-key", 0.0)
+        slow, waiting = store.enqueue_task(
+            "{}", ["https://slow.test/inbox", "https://down.test/inbox"], "k#main-key", 0.0
+        )
         done = []
         for _ in range(MAX_TERMINAL_TASKS + 5):
-            task = store.enqueue_task("{}", "https://b.test/inbox", "k#main-key", 0.0)
+            [task] = store.enqueue_task("{}", ["https://b.test/inbox"], "k#main-key", 0.0)
             store.save_task(replace(task, terminal=True, result="delivered: 202"))
             done.append(task.task_id)
         # The oldest task ends last, so it is the newest terminal one.
@@ -667,10 +668,10 @@ def test_reopen_keeps_the_bound_over_loaded_tasks_lowest_id_first(tmp_path, monk
     with disk.transaction():
         ids = []
         for _ in range(MAX_TERMINAL_TASKS + 10):
-            task = disk.enqueue_task("{}", "https://b.test/inbox", "k#main-key", 0.0)
+            [task] = disk.enqueue_task("{}", ["https://b.test/inbox"], "k#main-key", 0.0)
             disk.save_task(replace(task, terminal=True, result="delivered: 202"))
             ids.append(task.task_id)
-        pending = disk.enqueue_task("{}", "https://down.test/inbox", "k#main-key", 0.0)
+        [pending] = disk.enqueue_task("{}", ["https://down.test/inbox"], "k#main-key", 0.0)
     disk.close()
     monkeypatch.setattr(storage, "MAX_TERMINAL_TASKS", MAX_TERMINAL_TASKS)
     kept = ids[10:] + [pending.task_id]
@@ -736,7 +737,7 @@ def test_reads_cost_about_the_same_at_a_hundred_times_the_entries():
             follower = FAN if n % (size // 20) == 0 else f"https://b.test/users/u{n}"
             store.upsert_follow(follower, n, "accepted", f"https://x/follow/{n}", 0.0)
         for n in range(4 + terminal):
-            task = store.enqueue_task("{}", "https://b.test/inbox", "k#main-key", float(n))
+            [task] = store.enqueue_task("{}", ["https://b.test/inbox"], "k#main-key", float(n))
             if n >= 4:
                 store.save_task(replace(task, terminal=True, result="delivered: 202"))
         assert store.pending_count() == 4 and len(store.all_tasks()) == 4 + terminal
@@ -813,6 +814,27 @@ def test_concurrent_status_ids_never_collide(store):
     assert len({s.id for s in created}) == 24
 
 
+def test_concurrent_posts_queue_disjoint_blocks_of_task_ids(store):
+    inboxes = [f"https://host{i % 4}.test/users/u{i}/inbox" for i in range(16)]
+    batches = []
+
+    def post(i):
+        batches.append(store.enqueue_task(f"post {i}", inboxes, "k#main-key", 0.0))
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        hammer(8, post)
+    finally:
+        sys.setswitchinterval(previous)
+    for batch in batches:
+        first = batch[0].task_id
+        assert [t.task_id for t in batch] == list(range(first, first + 16))
+        assert {t.activity_body for t in batch} == {batch[0].activity_body}
+    assert sorted(t.task_id for batch in batches for t in batch) == list(range(1, 129))
+    assert json.loads(store.snapshot())["counters"]["task"] == store.pending_count() == 128
+
+
 # --- file backend durability ----------------------------------------------------------------
 
 
@@ -822,7 +844,7 @@ def populate(store):
     store.record_peer("b.test", "https://b.test/users/bob/inbox")
     store.record_seen("https://b.test/act/1")
     store.add_tombstone("https://dead.test/users/ghost")
-    store.enqueue_task('{"a": 1}', "https://b.test/inbox", "k#main-key", 3.0)
+    store.enqueue_task('{"a": 1}', ["https://b.test/inbox"], "k#main-key", 3.0)
     return alice, bob, statuses
 
 
@@ -1058,17 +1080,14 @@ def test_file_store_concurrent_transactions_commit_once_each(tmp_path):
     reopened.close()
 
 
-def test_file_store_survives_a_wal_cut_anywhere_in_the_last_commit(tmp_path):
-    """A crash part-way through appending a commit loses that commit and nothing else."""
-    live = FileStore(tmp_path / "live")
-    db = tmp_path / "live" / "store.sqlite3"
-    wal = tmp_path / "live" / "store.sqlite3-wal"
-    alice = live.upsert_account(account("alice"))
-    for n in range(5):
-        live.store_status(status(alice, n))
+def wal_cut_outcomes(tmp_path, live, commit):
+    """Snapshots of the FileStore live before and after commit(), which must
+    append one commit spanning several WAL frames (database pages), and the
+    set of snapshots a copy of the store reopens to with its WAL cut at each
+    byte worth trying inside that commit. Closes live."""
+    db, wal = live.root / "store.sqlite3", live.root / "store.sqlite3-wal"
     before, wal_before = live.snapshot(), wal.stat().st_size
-    # Long enough to span several WAL frames (database pages).
-    live.store_status(replace(status(alice, 99), content="x" * 20_000))
+    commit()
     after, wal_after = live.snapshot(), wal.stat().st_size
     db_bytes, wal_bytes = db.read_bytes(), wal.read_bytes()
     live.close()
@@ -1085,29 +1104,33 @@ def test_file_store_survives_a_wal_cut_anywhere_in_the_last_commit(tmp_path):
         (root / "store.sqlite3").write_bytes(db_bytes)
         (root / "store.sqlite3-wal").write_bytes(wal_bytes[:cut])
         reopened = FileStore(root)
-        snapshot = reopened.snapshot()
+        outcomes.add(reopened.snapshot())
         reopened.close()
-        assert snapshot in (before, after), cut
-        outcomes.add(snapshot)
+    return before, after, outcomes
+
+
+def test_file_store_survives_a_wal_cut_anywhere_in_the_last_commit(tmp_path):
+    """A crash part-way through appending a commit loses that commit and nothing else."""
+    live = FileStore(tmp_path / "live")
+    alice = live.upsert_account(account("alice"))
+    for n in range(5):
+        live.store_status(status(alice, n))
+    long = replace(status(alice, 99), content="x" * 20_000)
+    before, after, outcomes = wal_cut_outcomes(tmp_path, live, lambda: live.store_status(long))
     assert outcomes == {before, after}
 
 
-def test_file_store_refuses_the_old_json_layout(tmp_path):
-    root = tmp_path / "store"
-    (root / "accounts").mkdir(parents=True)
-    (root / "counters.json").write_text('{"account": 1}')
-    with pytest.raises(StorageUnavailable, match="counters.json"):
-        FileStore(root)
-    assert not (root / "store.sqlite3").exists()
-
-
-def test_file_store_refuses_key_files_of_the_old_layout(tmp_path):
-    root = tmp_path / "store"
-    FileStore(root).close()
-    (root / "keys").mkdir()
-    (root / "keys" / "alice.pem").write_text("PRIV")
-    with pytest.raises(StorageUnavailable, match="keys"):
-        FileStore(root)
+def test_a_wal_cut_in_a_posts_commit_leaves_none_of_its_tasks_or_all(tmp_path):
+    live = FileStore(tmp_path / "live")
+    live.enqueue_task("{}", ["https://b.test/inbox"], "k#main-key", 0.0)
+    inboxes = [f"https://host{i % 4}.test/users/u{i}/inbox" for i in range(16)]
+    before, after, outcomes = wal_cut_outcomes(
+        tmp_path, live, lambda: live.enqueue_task("x" * 2_000, inboxes, "k#main-key", 1.0)
+    )
+    assert outcomes == {before, after}
+    held = [json.loads(snapshot) for snapshot in (before, after)]
+    assert [len(data["tasks"]) for data in held] == [1, 17]
+    assert [data["counters"]["task"] for data in held] == [1, 17]
 
 
 def test_file_store_reports_a_corrupt_database_as_unavailable(tmp_path):

@@ -20,11 +20,10 @@ from .activitypub import (
     Actor,
     Note,
     serialize_object,
-    uri_host,
 )
 from .errors import ActorMismatch, DuplicateUri, TombstonedActor
 from .httpsig import load_private_key, sign_request
-from .mastodon import Account, Status, Visibility, actor_to_account, note_to_status, status_to_note
+from .mastodon import Account, Status, Visibility, actor_to_account, create_activity, note_to_status
 from .transport import HttpRequest, Transport, TransportError
 
 if TYPE_CHECKING:
@@ -100,12 +99,6 @@ class FederationEngine:
     def _now_dt(self) -> datetime:
         return datetime.fromtimestamp(self.clock(), tz=timezone.utc)
 
-    def note_peer(self, inbox: str) -> None:
-        """Remember a remote inbox's domain, with that inbox, for Delete fan-out."""
-        domain = uri_host(inbox)
-        if domain and domain != self.config.domain.lower():
-            self.store.record_peer(domain, inbox)
-
     # --- inbound ------------------------------------------------------------
 
     def handle_inbox(self, activity: Activity, verified_actor: Actor) -> list[str]:
@@ -126,8 +119,6 @@ class FederationEngine:
             raise TombstonedActor(actor.id)
         if activity.id is not None and not store.record_seen(activity.id):
             return []
-
-        self.note_peer(actor.inbox)
 
         if activity.kind is ActivityKind.DELETE:
             return self._handle_delete(activity, actor)
@@ -155,13 +146,8 @@ class FederationEngine:
             return ["Create without an embedded Note ignored"]
         if note.attributed_to != sender.actor_uri:
             return ["Create for a Note attributed to someone else ignored"]
-        parent = store.get_status_by_uri(note.in_reply_to) if note.in_reply_to else None
         status, warnings = note_to_status(
-            note,
-            sender,
-            store.get_account_by_uri,
-            received_at=self._now_dt(),
-            in_reply_to_id=parent.id if parent else None,
+            note, sender, store.get_account_by_uri, received_at=self._now_dt()
         )
         try:
             stored = store.store_status(status)
@@ -263,32 +249,12 @@ class FederationEngine:
         self, activity: Activity, signer: Account, inboxes: list[str]
     ) -> list[DeliveryTask]:
         """One task per inbox, all queued by one store call and sharing the one
-        serialized body. No peer is noted here: every inbox queued is a peer's
-        or a remote account's, noted by _dispatch or resolve_account as its
-        row was written."""
+        serialized body."""
         if not inboxes:
             return []
         body = serialize_object(activity)
         key_id = f"{signer.actor_uri}#main-key"
         return self.store.enqueue_task(body, inboxes, key_id, self.clock())
-
-    def create_activity(self, status: Status, author: Account) -> Activity:
-        """The Create that publishes a local status; a reply names its parent's URI."""
-        parent = (
-            self.store.get_status(status.in_reply_to_id)
-            if status.in_reply_to_id is not None
-            else None
-        )
-        note = status_to_note(status, author, in_reply_to_uri=parent.uri if parent else None)
-        return Activity(
-            id=f"{status.uri}/activity",
-            kind=ActivityKind.CREATE,
-            actor=author.actor_uri,
-            object=note,
-            to=note.to,
-            cc=note.cc,
-            published=status.created_at,
-        )
 
     def _audience(self, status: Status, author: Account) -> list[Account]:
         """The known accounts a status reaches, once each and in this order:
@@ -317,7 +283,7 @@ class FederationEngine:
         if author.is_remote:
             return []
         inboxes = dict.fromkeys(a.inbox_uri for a in audience if a.is_remote)
-        activity = self.create_activity(status, author)
+        activity = create_activity(status, author)
         return self.enqueue(activity, signer=author, inboxes=list(inboxes))
 
     def propagate_delete(self, account: Account) -> list[DeliveryTask]:

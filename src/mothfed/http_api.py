@@ -9,6 +9,7 @@ body, and every error body is the machine-readable {"error": reason} (with a
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from html import escape as html_escape
 from typing import Any
 
@@ -46,9 +47,11 @@ from .mastodon import (
     Status,
     Visibility,
     account_to_actor,
+    create_activity,
     extract_mentions,
     extract_tags,
     sanitize_html,
+    status_to_note,
 )
 from .transport import HttpRequest, HttpResponse
 
@@ -185,8 +188,10 @@ class HttpApi:
             "tags": [{"name": t} for t in status.tags],
             "created_at": format_timestamp(status.created_at),
         }
-        if status.in_reply_to_id is not None:
-            data["in_reply_to_id"] = str(status.in_reply_to_id)
+        # Left out while this server does not hold the parent.
+        uri = status.in_reply_to_uri
+        if uri and (parent := self.node.store.get_status_by_uri(uri)) is not None:
+            data["in_reply_to_id"] = str(parent.id)
         return data
 
     # --- discovery ----------------------------------------------------------------
@@ -301,7 +306,7 @@ class HttpApi:
         for status in self.node.store.statuses_by_account(found.id):
             if status.visibility is not Visibility.PUBLIC:
                 continue
-            activity = self.node.engine.create_activity(status, found)
+            activity = create_activity(status, found)
             items.append(to_wire_dict(activity, with_context=False))
         return self._collection(f"{found.actor_uri}/outbox", items)
 
@@ -337,7 +342,7 @@ class HttpApi:
             or status.visibility is not Visibility.PUBLIC
         ):
             raise _Refused(404, "NotFound", "no such public status")
-        note = self.node.engine.create_activity(status, found).object
+        note = status_to_note(status, found)
         return _json_response(200, to_wire_dict(note), ACTIVITY_MEDIA_TYPE)
 
     # --- client API -----------------------------------------------------------------
@@ -362,17 +367,14 @@ class HttpApi:
                 422, "InvalidVisibility", f"unknown visibility {visibility_name!r}"
             ) from None
 
-        in_reply_to_id = None
+        parent = None
         raw_reply = payload.get("in_reply_to_id")
         if raw_reply is not None:
-            try:
-                in_reply_to_id = int(raw_reply)
-            except (TypeError, ValueError):
-                raise _Refused(
-                    422, "UnknownInReplyTo", f"bad in_reply_to_id {raw_reply!r}"
-                ) from None
-            if self.node.store.get_status(in_reply_to_id) is None:
-                raise _Refused(422, "UnknownInReplyTo", f"no status {in_reply_to_id}")
+            with suppress(TypeError, ValueError, OverflowError):
+                parent = self.node.store.get_status(int(raw_reply))
+            # A parent stored without a URI has nothing for inReplyTo to name.
+            if parent is None or not parent.uri:
+                raise _Refused(422, "UnknownInReplyTo", f"no status {raw_reply!r} to reply to")
 
         mentions, warnings = self._resolve_mentions(text)
         if visibility is Visibility.DIRECT and not mentions:
@@ -395,7 +397,7 @@ class HttpApi:
                     mentions=tuple(mentions),
                     tags=tags,
                     created_at=self.node.now_dt(),
-                    in_reply_to_id=in_reply_to_id,
+                    in_reply_to_uri=parent.uri if parent else None,
                 )
             )
             self.node.engine.fan_out(stored, author)

@@ -13,7 +13,9 @@ from typing import Callable
 
 from .activitypub import Actor, uri_host
 from .config import Config
-from .errors import ActorFetchFailed, InvalidName, NameTaken, ResolutionFailed, UnknownUser
+from .errors import (
+    ActorFetchFailed, ConfigError, InvalidName, NameTaken, ResolutionFailed, UnknownUser
+)
 from .federation import FederationEngine, QueueReport
 from .http_api import HttpApi
 from .httpsig import generate_rsa_keypair
@@ -42,6 +44,12 @@ class InstanceNode:
         self.store = store if store is not None else open_store(
             config.storage_backend, config.storage_path
         )
+        # A local account's URIs never change, so its store cannot move to another domain.
+        for account in self.store.local_accounts():
+            if uri_host(account.actor_uri) != config.domain.lower():
+                if store is None:
+                    self.store.close()
+                raise ConfigError(f"store account {account.actor_uri} is not on {config.domain}")
         self.transport = transport if transport is not None else UrllibTransport()
         self.clock = clock if clock is not None else time.time
         self.resolver = Resolver(
@@ -140,12 +148,7 @@ class InstanceNode:
             actor, _ = self.fetch_actor(actor_uri)
         except ActorFetchFailed as exc:
             raise ResolutionFailed(str(exc)) from exc
-        with self.store.transaction():
-            account = self.store.upsert_account(
-                actor_to_account(actor, self.domain, self.now_dt())
-            )
-            self.engine.note_peer(actor.inbox)
-        return account
+        return self.store.upsert_account(actor_to_account(actor, self.domain, self.now_dt()))
 
     # --- delivery --------------------------------------------------------------
 

@@ -17,6 +17,8 @@ from typing import Callable
 
 from .activitypub import (
     PUBLIC_COLLECTION,
+    Activity,
+    ActivityKind,
     Actor,
     ActorKind,
     Note,
@@ -66,7 +68,8 @@ class Status:
     mentions: tuple[Mention, ...]
     tags: tuple[str, ...]
     created_at: datetime
-    in_reply_to_id: int | None = None
+    # The parent's URI as the wire names it; the client API finds its local id.
+    in_reply_to_uri: str | None = None
 
 
 # --- text extraction --------------------------------------------------------
@@ -262,11 +265,7 @@ def account_to_actor(account: Account) -> Actor:
     )
 
 
-def status_to_note(
-    status: Status,
-    author: Account,
-    in_reply_to_uri: str | None = None,
-) -> Note:
+def status_to_note(status: Status, author: Account) -> Note:
     followers_uri = f"{author.actor_uri}/followers"
     mention_uris = [m.actor_uri for m in status.mentions]
     to, cc = audience_for(status.visibility, followers_uri, mention_uris)
@@ -283,7 +282,21 @@ def status_to_note(
         cc=cc,
         tag_entries=tuple(tag_entries),
         published=status.created_at,
-        in_reply_to=in_reply_to_uri,
+        in_reply_to=status.in_reply_to_uri,
+    )
+
+
+def create_activity(status: Status, author: Account) -> Activity:
+    """The Create that publishes a local status."""
+    note = status_to_note(status, author)
+    return Activity(
+        id=f"{status.uri}/activity",
+        kind=ActivityKind.CREATE,
+        actor=author.actor_uri,
+        object=note,
+        to=note.to,
+        cc=note.cc,
+        published=status.created_at,
     )
 
 
@@ -292,7 +305,6 @@ def note_to_status(
     author: Account,
     account_by_uri: Callable[[str], Account | None],
     received_at: datetime,
-    in_reply_to_id: int | None = None,
 ) -> tuple[Status, list[str]]:
     """Project an inbound Note onto a Status owned by author's account.
 
@@ -349,6 +361,6 @@ def note_to_status(
         mentions=tuple(mentions),
         tags=tuple(tags),
         created_at=note.published or received_at,
-        in_reply_to_id=in_reply_to_id,
+        in_reply_to_uri=note.in_reply_to,
     )
     return status, warnings

@@ -29,6 +29,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
+from .activitypub import uri_host
 from .errors import DuplicateUri, StorageUnavailable, TombstonedActor, UnknownAccount
 from .federation import DeliveryTask, FollowRelation, Interaction
 from .mastodon import Account, Mention, Status, Visibility
@@ -185,7 +186,13 @@ class MemoryStore:
                     self._unindex_account(previous)
                 self._index_account(stored)
                 self._write("accounts", stored.id, stored)
+                if stored.is_remote:  # its server is a peer a Delete goes to
+                    self.record_peer(uri_host(stored.inbox_uri), stored.inbox_uri)
             return stored
+
+    def local_accounts(self) -> list[Account]:
+        with self._lock:
+            return [self._accounts[i] for i in self._local_by_name.values()]
 
     def get_account(self, account_id: int) -> Account | None:
         with self._lock:
@@ -778,12 +785,17 @@ class FileStore(MemoryStore):
             self._retire_tasks()
 
     def _load(self, rows: Iterable[tuple[str, str]]) -> None:
+        # Status id -> parent id, from rows written before a status kept its
+        # parent's URI; each is rewritten once every status has loaded.
+        parent_ids: dict[int, int | None] = {}
         for collection, body in rows:
             data = json.loads(body)
             match collection:
                 case "accounts":
                     self._index_account(account_from_record(data))
                 case "statuses":
+                    if "in_reply_to_id" in data:
+                        parent_ids[data["id"]] = data.pop("in_reply_to_id")
                     self._index_status(status_from_record(data))
                 case "follows":
                     self._index_follow(FollowRelation(**data))
@@ -811,6 +823,11 @@ class FileStore(MemoryStore):
                     self._counters[name] = value
                 case _:
                     raise StorageUnavailable(f"unknown collection {collection!r} in store")
+        for reply, parent_id in parent_ids.items():
+            parent = self._statuses.get(parent_id)  # gone, or without a URI: none to name
+            status = replace(self._statuses[reply], in_reply_to_uri=parent and parent.uri or None)
+            self._statuses[reply] = status
+            self._write("statuses", reply, status)
 
     def _write(self, collection: str, key: Any, value: Any) -> None:
         import sqlite3

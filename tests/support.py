@@ -177,6 +177,10 @@ def gen_status(rng: random.Random, account_id: int = 1, domain: str = "home.test
         mentions=unique,
         tags=tuple(dict.fromkeys(rand_word(rng, 5) for _ in range(rng.randint(0, 3)))),
         created_at=rand_datetime(rng),
+        # Drawn last, so the draws before it are those of a generator without replies.
+        in_reply_to_uri=f"https://{rand_domain(rng)}/notes/{rng.randint(1, 10**9)}"
+        if rng.random() < 0.2
+        else None,
     )
 
 

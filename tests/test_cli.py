@@ -327,6 +327,15 @@ class TestMainCommands:
         assert main(base + ["user", "create", "alice"]) == 1
         assert "NameTaken" in capsys.readouterr().err
 
+    def test_a_store_is_not_opened_under_another_domain(self, tmp_path, capsys):
+        store = ["--store", f"file:{tmp_path / 'store'}"]
+        assert main(["--domain", "cli.test", *store, "user", "create", "alice"]) == 0
+        assert main(["--domain", "moved.test", *store, "user", "create", "bob"]) == 1
+        assert "ConfigError" in capsys.readouterr().err
+        reopened = FileStore(tmp_path / "store")
+        assert reopened.get_local_account("bob") is None
+        reopened.close()
+
     def test_invalid_username_exits_nonzero(self, capsys):
         assert main(["--domain", "cli.test", "user", "create", "no spaces"]) == 1
         assert "InvalidName" in capsys.readouterr().err

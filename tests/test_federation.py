@@ -816,7 +816,10 @@ def test_propagate_delete_sends_one_delete_per_peer(world):
     engine, store, _, alice = world
     store.record_peer("b.test", "http://b.test/users/bob/inbox")
     store.record_peer("c.test", "http://c.test/users/carol/inbox")
-    engine.note_peer(f"http://{LOCAL}/users/dave/inbox")  # the local domain is no peer
+    # A local account's row records no peer.
+    store.upsert_account(replace(alice, id=None, username="dave", acct="dave",
+                                 actor_uri=f"http://{LOCAL}/users/dave",
+                                 inbox_uri=f"http://{LOCAL}/users/dave/inbox"))
     assert [domain for domain, _ in store.list_peers()] == ["b.test", "c.test"]
     tasks = engine.propagate_delete(alice)
     assert [t.target_inbox for t in tasks] == [

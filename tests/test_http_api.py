@@ -21,10 +21,11 @@ from mothfed.activitypub import (
     validate_actor_document,
 )
 from mothfed.config import Config
-from mothfed.errors import NameTaken
+from mothfed.errors import ConfigError, NameTaken
 from mothfed.httpsig import generate_rsa_keypair, load_private_key, sign_request
 from mothfed.identity import AcctHandle, build_jrd
 from mothfed.instance import InstanceNode
+from mothfed.mastodon import Status, Visibility
 from mothfed.storage import FileStore, MemoryStore
 from mothfed.transport import HttpRequest, HttpResponse
 
@@ -848,6 +849,7 @@ def test_post_status_sanitizes_markup(node):
         ({"status": "x", "in_reply_to_id": "glork"}, "UnknownInReplyTo"),
         ({"status": "x", "in_reply_to_id": 424242}, "UnknownInReplyTo"),
         ({"status": "no mentions", "visibility": "direct"}, "NoResolvableMentions"),
+        ({"status": "x", "in_reply_to_id": float("inf")}, "UnknownInReplyTo"),
     ],
 )
 def test_post_status_validation_failures_are_422(node, payload, reason):
@@ -873,7 +875,21 @@ def test_post_status_threads_replies(node):
     )
     assert child["in_reply_to_id"] == parent["id"]
     stored = node.store.get_status(int(child["id"]))
-    assert stored.in_reply_to_id == int(parent["id"])
+    assert stored.in_reply_to_uri == parent["uri"]
+
+
+def test_a_reply_to_a_status_stored_without_a_uri_is_refused(node):
+    # An inbound Note without an id is stored so; a reply could only name it as "".
+    alice = node.store.get_local_account("alice")
+    parent = node.store.store_status(
+        Status(id=None, uri="", content="no id", account_id=alice.id,
+               visibility=Visibility.PUBLIC, mentions=(), tags=(), created_at=NOW)
+    )
+    response = api_post(node, "/api/v1/statuses", {"status": "reply", "in_reply_to_id": parent.id})
+    assert response.status == 422
+    assert body_json(response)["error"] == "UnknownInReplyTo"
+    assert node.store.statuses_by_account(alice.id) == [parent]
+    assert node.store.pending_count() == 0
 
 
 def test_post_status_resolves_remote_mentions_and_fans_out(node):
@@ -1328,10 +1344,14 @@ def test_a_reopened_store_publishes_the_uris_it_signs_with(tmp_path, reopened_as
     alice, bob = alice_and_bob_follow_each_other(first)
     first.close()
 
-    node = InstanceNode(
-        reopened_as, store=FileStore(tmp_path / "store"), transport=CannedTransport(),
-        clock=Ticker(),
-    )
+    store = FileStore(tmp_path / "store")
+    if reopened_as.domain != LOCAL:
+        # Its accounts' URIs name local.test, so the store does not move domains.
+        with pytest.raises(ConfigError, match=f"{alice.actor_uri} is not on moved.test"):
+            InstanceNode(reopened_as, store=store, transport=CannedTransport(), clock=Ticker())
+        store.close()
+        return
+    node = InstanceNode(reopened_as, store=store, transport=CannedTransport(), clock=Ticker())
     row = node.store.get_local_account("alice")
     assert (row.actor_uri, row.inbox_uri) == (alice.actor_uri, alice.inbox_uri)
     posted = api_post(node, "/api/v1/statuses", {"status": "after the reopen"})

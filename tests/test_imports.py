@@ -1,5 +1,7 @@
-"""Every name a module in src/mothfed imports is used there (no linter needed)."""
+"""Every name a module in src/mothfed imports is used there (no linter needed),
+and every function perfbench/tracer.py wraps exists there."""
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,24 @@ def test_the_checker_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_only_what_it_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def tracer_targets() -> list[tuple[str, str]]:
+    """The (module, "Class.method" or "function") pairs in the tracer's TARGETS,
+    read from its source, so the benchmark code is neither imported nor run."""
+    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.AnnAssign) and node.target.id == "TARGETS":
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{TRACER} has no TARGETS")
+
+
+@pytest.mark.parametrize("module,attr", tracer_targets(), ids=lambda value: value)
+def test_every_function_the_tracer_wraps_exists(module, attr):
+    # A renamed target would only show as "not traced (absent)" in a traced run.
+    found = importlib.import_module(f"mothfed.{module}")
+    for name in attr.split("."):
+        found = getattr(found, name, None)
+    assert callable(found), f"mothfed.{module}.{attr} is gone"

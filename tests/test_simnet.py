@@ -292,6 +292,65 @@ class TestReplies:
         assert copies[reply["uri"]]["in_reply_to_id"] == copies[root["uri"]]["id"]
         assert "in_reply_to_id" not in copies[root["uri"]]
 
+    @staticmethod
+    def three_instances(backend, tmp_path):
+        net = VirtualNet(seed=30, backend=backend, storage_root=str(tmp_path))
+        net.spawn_instance("a.test", ["alice"])
+        net.spawn_instance("b.test", ["bob"])
+        net.spawn_instance("c.test", ["carol"])
+        net.follow("c.test", "carol", "alice@a.test")
+        return net
+
+    @staticmethod
+    def carols_reply(net, root):
+        [copy] = [s for s in net.home_timeline("c.test", "carol") if s["uri"] == root["uri"]]
+        return net.post_status("c.test", "carol", "a reply", in_reply_to_id=int(copy["id"]))
+
+    @pytest.mark.parametrize("backend", ["memory", "file"])
+    def test_a_reply_to_a_parent_never_received_keeps_its_uri(self, backend, tmp_path):
+        net = self.three_instances(backend, tmp_path)
+        net.follow("b.test", "bob", "carol@c.test")
+        net.run_until_quiet()
+        root = net.post_status("a.test", "alice", "root post")
+        net.run_until_quiet()
+        reply = self.carols_reply(net, root)
+        net.run_until_quiet()
+
+        store = net.node("b.test").store
+        assert store.get_status_by_uri(root["uri"]) is None
+        assert store.get_status_by_uri(reply["uri"]).in_reply_to_uri == root["uri"]
+        [copy] = net.home_timeline("b.test", "bob")
+        assert copy["uri"] == reply["uri"] and "in_reply_to_id" not in copy
+
+    @pytest.mark.parametrize("backend", ["memory", "file"])
+    def test_a_reply_that_arrives_before_its_parent_links_to_it_once_it_arrives(
+        self, backend, tmp_path
+    ):
+        net = self.three_instances(backend, tmp_path)
+        net.follow("b.test", "bob", "alice@a.test")
+        net.follow("b.test", "bob", "carol@c.test")
+        net.run_until_quiet()
+        # Holds back alice's delivery to bob once, so carol's reply lands first.
+        net.inject_fault(
+            behavior="status", status_code=503, host="b.test", path_contains="/inbox", times=1
+        )
+        root = net.post_status("a.test", "alice", "root post")
+        net.node("a.test").process_deliveries()
+        reply = self.carols_reply(net, root)
+        net.node("c.test").process_deliveries()
+
+        store = net.node("b.test").store
+        assert store.get_status_by_uri(root["uri"]) is None
+        assert store.get_status_by_uri(reply["uri"]).in_reply_to_uri == root["uri"]
+        [early] = net.home_timeline("b.test", "bob")
+        assert early["uri"] == reply["uri"] and "in_reply_to_id" not in early
+
+        net.run_until_quiet()  # alice's delivery arrives on its retry
+        copies = {item["uri"]: item for item in net.home_timeline("b.test", "bob")}
+        assert copies[reply["uri"]]["in_reply_to_id"] == copies[root["uri"]]["id"]
+        statuses = [e.status for e in net.log_entries(method="POST", url_contains="/users/bob/inbox")]
+        assert statuses.count(503) == 1
+
 
 class TestKillRespawn:
     def test_pending_delivery_lands_after_respawn(self):

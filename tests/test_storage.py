@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import sqlite3
 import sys
 import threading
 import time
@@ -105,6 +106,7 @@ def test_local_accounts_excludes_remotes(store):
     store.upsert_account(account("bob", domain="b.test"))
     assert store.get_local_account("alice") == alice
     assert store.get_local_account("bob") is None
+    assert store.local_accounts() == [alice]
 
 
 # --- statuses ------------------------------------------------------------------
@@ -857,6 +859,51 @@ def test_file_store_round_trips_everything_through_reopen(tmp_path):
     second = FileStore(tmp_path / "store")
     assert second.snapshot() == before
     second.close()
+
+
+def test_a_status_row_naming_its_parent_by_id_opens_with_the_parents_uri(tmp_path, monkeypatch):
+    first = FileStore(tmp_path / "store")
+    alice = first.upsert_account(account("alice"))
+    root, gone, reply, orphan, plain = (first.store_status(status(alice, n)) for n in range(5))
+    first.close()
+    # The rows as a store written before a status kept its parent's URI holds them.
+    parents = {reply.id: root.id, orphan.id: gone.id, plain.id: None}
+    db = sqlite3.connect(tmp_path / "store" / "store.sqlite3")
+    with db:
+        for status_id, parent_id in parents.items():
+            [(body,)] = db.execute(
+                "SELECT body FROM records WHERE collection = 'statuses' AND key = ?",
+                (str(status_id),),
+            )
+            data = json.loads(body)
+            del data["in_reply_to_uri"]
+            db.execute(
+                "UPDATE records SET body = ? WHERE collection = 'statuses' AND key = ?",
+                (json.dumps({**data, "in_reply_to_id": parent_id}), str(status_id)),
+            )
+        db.execute("DELETE FROM records WHERE collection = 'statuses' AND key = ?", (str(gone.id),))
+    db.close()
+
+    statements = []
+    connect = sqlite3.connect
+
+    def traced(*args, **kwargs):
+        opened = connect(*args, **kwargs)
+        opened.set_trace_callback(statements.append)
+        return opened
+
+    monkeypatch.setattr(sqlite3, "connect", traced)
+    for opening in range(2):
+        statements.clear()
+        store = FileStore(tmp_path / "store")
+        assert store.get_status(reply.id).in_reply_to_uri == root.uri
+        assert store.get_status(orphan.id).in_reply_to_uri is None  # its parent is gone
+        assert store.get_status(plain.id) == plain
+        writes = [s for s in statements if s.startswith(("BEGIN", "INSERT", "DELETE", "COMMIT"))]
+        store.close()
+        # The first open rewrites each old row once, in its one commit; the second nothing.
+        assert len(writes) == (2 + len(parents) if opening == 0 else 0)
+        assert writes[-1:] == (["COMMIT"] if opening == 0 else [])
 
 
 def test_file_store_snapshot_matches_memory_for_identical_operations(tmp_path):
